@@ -8,7 +8,7 @@ The package solves four related problems exactly at desk scale:
 * multi-right-hand-side and frozen-column TLS generalizations,
 
 together with the dense kernels (Householder QR, one-sided Jacobi SVD)
-they run on, brute-force oracles for testing, and a CSV/JSON CLI.
+they run on and a CSV/JSON CLI.
 """
 
 from .errors import (

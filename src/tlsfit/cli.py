@@ -29,7 +29,7 @@ from .errors import (
 )
 from .extensions import solve_tls_fixed, solve_tls_multi
 from .geometry import PointCloud, fit_hyperplane_tls
-from .linalg import Matrix, Vector, jacobi_svd
+from .linalg import Matrix, Vector
 from .ols import Method, solve_ols
 from .system import solve_tls_system
 
@@ -150,7 +150,7 @@ def _fit_ols(data: Matrix, report: FitReport) -> None:
     solution = solve_ols(design, y, Method.SVD)
     report.coefficients = _vec(solution.coefficients)
     report.objective = float(solution.residual_norm ** 2)
-    report.singular_values = _vec(jacobi_svd(design).sigma)
+    report.singular_values = _vec(solution.sigma)
     report.unique = not solution.rank_deficient
 
 
@@ -328,9 +328,6 @@ def main(argv=None) -> int:
                         help="number of leading frozen columns (tls-fixed)")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         dest="output_format", help="report format")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed (reserved; no mode currently "
-                             "draws random numbers)")
     args = parser.parse_args(argv)
     request = FitRequest(
         mode=args.mode,

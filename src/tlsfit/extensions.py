@@ -5,11 +5,12 @@ the solution is X = -V12 V22^{-1} when the trailing p x p block V22 is
 invertible, and the rank-n truncation is the nearest solvable system.
 
 With frozen columns the system matrix splits into an error-free block A1
-and an uncertain block A2.  The solve orthogonalizes A2 and B against
-A1 (QR when A1 has full column rank, SVD otherwise), solves the reduced
-TLS problem in the orthogonal complement, and back-substitutes for the
-frozen-block coefficients.  Ordinary least squares is the special case
-of freezing every column.
+and an uncertain block A2.  The solve projects A2 and B off the column
+space of A1 (the leading left singular vectors U1 of its SVD), solves the
+reduced multi-RHS TLS problem on the projected block, and recovers the
+frozen-block coefficients as X1 = V1 S1^-1 U1^T (B - A2 X2), the
+minimum-norm choice when A1 is rank-deficient.  Ordinary least squares
+is the special case of freezing every column.
 """
 from __future__ import annotations
 
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NoTlsSolutionError
-from .linalg import (
-    Matrix,
-    Vector,
-    _householder_qr_arrays,
-    jacobi_svd,
-    truncate_rank,
-)
-from .ols import _solve_upper
+from .linalg import Matrix, Vector, _thin_svd, truncate_rank
 from .tolerances import EXISTENCE_TOL, GAP_TOL
 
 __all__ = [
@@ -81,12 +75,12 @@ def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
         raise DimensionError(
             f"solve_tls_multi: need rows >= cols(A) + cols(B), "
             f"got {m} < {n} + {p}")
-    svd = jacobi_svd(Matrix(np.column_stack([a.array, b.array])))
+    svd = _thin_svd(np.asfortranarray(np.column_stack([a.array, b.array])))
     s = svd.sigma.array
     v = svd.v.array
     v12 = v[:n, n:]
     v22 = v[n:, n:]
-    sub = jacobi_svd(Matrix(v22))
+    sub = _thin_svd(v22)
     s22 = sub.sigma.array
     if s22[p - 1] <= EXISTENCE_TOL:
         raise NoTlsSolutionError(
@@ -123,35 +117,20 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     if m < j + k + p:
         raise DimensionError(
             f"solve_tls_fixed: need rows >= {j} + {k} + {p}, got {m}")
-    svd1 = jacobi_svd(a1)
+    svd1 = _thin_svd(a1.array)
     r = svd1.rank
-    if r == j:
-        # Full-rank frozen block: orthogonalize via QR.
-        u, r_full = _householder_qr_arrays(a1.array)
-        r1 = r_full[:j, :j]
-        split = j
-    else:
-        u = svd1.u.array
-        split = r
-    ta2 = u.T @ a2.array
-    tb = u.T @ b.array
-    a12, a22 = ta2[:split], ta2[split:]
-    b1, b2 = tb[:split], tb[split:]
-    reduced = solve_tls_multi(Matrix(a22), Matrix(b2))
+    u1 = svd1.u.array[:, :r]
+    # Projecting [A2 B] off U1 leaves the Gram matrix, hence sigma and V,
+    # of its block in the orthogonal complement of A1's column space.
+    a2b = np.column_stack([a2.array, b.array])
+    projected = a2b - u1 @ (u1.T @ a2b)
+    reduced = solve_tls_multi(Matrix(projected[:, :k]),
+                              Matrix(projected[:, k:]))
     x2 = reduced.x.array
-    rhs1 = b1 - a12 @ x2
-    if r == j:
-        x1 = _solve_upper(r1, rhs1)
-    else:
-        # S1 V1^T X1 = rhs1; complete X1 minimum-norm (nothing along V2).
-        v1 = svd1.v.array[:, :r]
-        x1 = v1 @ (rhs1 / svd1.sigma.array[:r, None])
-    # Reconstruct the perturbed blocks C, D and evaluate the objective.
-    c2d2 = reduced.nearest_system.array
-    c = u @ np.vstack([a12, c2d2[:, :k]])
-    d = u @ np.vstack([b1, c2d2[:, k:]])
-    minimized = (np.linalg.norm(a2.array - c, "fro") ** 2
-                 + np.linalg.norm(b.array - d, "fro") ** 2)
+    # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
+    rhs1 = u1.T @ (b.array - a2.array @ x2)
+    x1 = svd1.v.array[:, :r] @ (rhs1 / svd1.sigma.array[:r, None])
+    minimized = np.sum(reduced.sigma.array[k:] ** 2)
     return FixedColsSolution(
         x1=Matrix(x1),
         x2=Matrix(x2),

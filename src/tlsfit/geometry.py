@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import Matrix, Vector, jacobi_svd
+from .linalg import Matrix, Vector, _thin_svd
 from .tolerances import EXPRESSIBILITY_TOL, GAP_TOL
 
 __all__ = [
@@ -101,7 +101,7 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
         raise DimensionError(
             f"fit_hyperplane_tls: need at least {n} points in R^{n}, got {m}")
     center = cloud.points.array.mean(axis=0)
-    svd = jacobi_svd(Matrix(cloud.points.array - center))
+    svd = _thin_svd(cloud.points.array - center)
     s = svd.sigma.array
     normal = svd.v.array[:, n - 1]
     unique = (s[n - 2] - s[n - 1]) > GAP_TOL * max(s[0], 1.0)

@@ -37,7 +37,7 @@ __all__ = [
 
 def _as_float_array(data, ndim, what):
     try:
-        arr = np.array(data, dtype=float)
+        arr = np.array(data, dtype=float, order="F")
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"{what}: entries do not form a rectangular "
                              f"numeric array ({exc})") from None
@@ -60,8 +60,7 @@ class Matrix:
     __slots__ = ("_a",)
 
     def __init__(self, data):
-        arr = _as_float_array(data, 2, "Matrix")
-        self._a = np.asfortranarray(arr)
+        self._a = _as_float_array(data, 2, "Matrix")
         self._a.flags.writeable = False
 
     @classmethod
@@ -119,8 +118,7 @@ class Vector:
     __slots__ = ("_a",)
 
     def __init__(self, data):
-        arr = _as_float_array(data, 1, "Vector")
-        self._a = arr
+        self._a = _as_float_array(data, 1, "Vector")
         self._a.flags.writeable = False
 
     @property
@@ -161,7 +159,10 @@ class QrResult:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full factorization A = U diag(sigma) V^T, sigma descending."""
+    """Factorization A = U diag(sigma) V^T, sigma descending.
+
+    U is m x m from ``jacobi_svd``; inside the solvers it is thin (m x n).
+    """
 
     u: Matrix
     sigma: Vector
@@ -201,15 +202,16 @@ def frobenius_norm(a: Matrix) -> float:
 # Householder QR
 
 
-def _householder_qr_arrays(a: np.ndarray):
+def _householder_qr_arrays(a: np.ndarray, block: np.ndarray):
     """QR of an m x n array (m >= n) by Householder reflections.
 
-    Returns (q, r) with q m x m orthogonal, r m x n upper triangular with
-    nonnegative diagonal.
+    Returns (r, Q^T block) with r m x n upper triangular with nonnegative
+    diagonal.  Q is never formed; the reflectors are applied to the 2-d
+    m-row ``block`` instead, so a block I_m yields Q^T.
     """
     m, n = a.shape
-    q = np.eye(m)
     r = a.copy()
+    qt_block = np.array(block, dtype=float, order="F")
     for j in range(n):
         x = r[j:, j]
         norm_x = np.linalg.norm(x)
@@ -221,16 +223,16 @@ def _householder_qr_arrays(a: np.ndarray):
         if vnorm2 == 0.0:
             continue
         w = 2.0 / vnorm2
-        # r[j:, j:] -= w * outer(v, v @ r[j:, j:]) ; same reflector on q.
+        # r[j:, j:] -= w * outer(v, v @ r[j:, j:]); the same on the block.
         r[j:, j:] -= np.outer(w * v, v @ r[j:, j:])
-        q[:, j:] -= np.outer(q[:, j:] @ (w * v), v)
+        qt_block[j:] -= np.outer(v, (w * v) @ qt_block[j:])
     r = np.triu(r)
     # Sign convention: nonnegative diagonal of R.
     for j in range(min(m, n)):
         if r[j, j] < 0.0:
             r[j, j:] = -r[j, j:]
-            q[:, j] = -q[:, j]
-    return q, r
+            qt_block[j] = -qt_block[j]
+    return r, qt_block
 
 
 def householder_qr(a: Matrix) -> QrResult:
@@ -238,8 +240,8 @@ def householder_qr(a: Matrix) -> QrResult:
     if a.rows < a.cols:
         raise DimensionError(
             f"householder_qr: need rows >= cols, got {a.rows} x {a.cols}")
-    q, r = _householder_qr_arrays(a.array)
-    return QrResult(q=Matrix(q), r_upper=Matrix(r))
+    r, qt = _householder_qr_arrays(a.array, np.eye(a.rows))
+    return QrResult(q=Matrix(qt.T), r_upper=Matrix(r))
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +308,30 @@ def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:
     reproduces the block itself (up to roundoff) in its leading columns;
     those are replaced by the exact input columns.
     """
-    q = u_cols.shape[1]
-    if q == 0:
-        return np.eye(m)
-    full, _ = _householder_qr_arrays(u_cols)
-    full[:, :q] = u_cols
+    _, qt = _householder_qr_arrays(u_cols, np.eye(m))
+    full = qt.T
+    full[:, :u_cols.shape[1]] = u_cols
     return full
 
 
-def _svd_tall(a: np.ndarray):
-    """SVD of an m x n array with m >= n via one-sided Jacobi."""
+def _apply_sign_rule(v: np.ndarray, u: np.ndarray) -> None:
+    """In place: make the largest-magnitude entry (lowest index on ties) of
+    each column of ``v`` nonnegative, negating the paired ``u`` column."""
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        pivot = int(np.argmax(np.abs(col)))
+        if col[pivot] < 0.0:
+            v[:, j] = -col
+            if j < u.shape[1]:
+                u[:, j] = -u[:, j]
+
+
+def _thin_svd(a: np.ndarray) -> SvdResult:
+    """Thin SVD of an m x n array with m >= n via one-sided Jacobi.
+
+    U is m x n, with zero columns for exactly zero singular values; signs
+    follow ``jacobi_svd``.  The solvers call this and never form an m x m U.
+    """
     m, n = a.shape
     # Exact power-of-two scaling puts the largest entry in [0.5, 1), which
     # keeps squared column norms away from both overflow and underflow.
@@ -327,18 +343,14 @@ def _svd_tall(a: np.ndarray):
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     scaled = norms[order]
-    sigma = np.ldexp(scaled, exponent)
     v = v[:, order]
-    u = np.empty((m, m))
-    q = 0
+    u = np.zeros((m, n))
     for k in range(n):
         if scaled[k] > 0.0:
             u[:, k] = w[:, order[k]] / scaled[k]
-            q = k + 1
-    if q < m:
-        u[:, q:] = _complete_orthonormal(
-            np.ascontiguousarray(u[:, :q]), m)[:, q:]
-    return u, sigma, v
+    _apply_sign_rule(v, u)
+    return SvdResult(u=Matrix(u), sigma=Vector(np.ldexp(scaled, exponent)),
+                     v=Matrix(v))
 
 
 def jacobi_svd(a: Matrix) -> SvdResult:
@@ -347,22 +359,20 @@ def jacobi_svd(a: Matrix) -> SvdResult:
     Singular values come back in descending order.  Signs are made
     deterministic: in each column of V the entry of largest magnitude
     (lowest index on ties) is nonnegative, with the paired U column
-    negated to compensate.
+    negated to compensate.  The thin factorization of A (or of A^T when
+    A is wide) is completed to square factors.
     """
-    m, n = a.rows, a.cols
-    if m >= n:
-        u, sigma, v = _svd_tall(a.array)
-    else:
-        v, sigma, u = _svd_tall(a.array.T)
-    k = min(m, n)
-    for j in range(n):
-        col = v[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0.0:
-            v[:, j] = -col
-            if j < k:
-                u[:, j] = -u[:, j]
-    return SvdResult(u=Matrix(u), sigma=Vector(sigma), v=Matrix(v))
+    tall = a.rows >= a.cols
+    thin = _thin_svd(a.array if tall else a.array.T)
+    left = thin.u.array
+    nonzero = int(np.count_nonzero(left.any(axis=0)))
+    full = _complete_orthonormal(left[:, :nonzero], left.shape[0])
+    if tall:
+        return SvdResult(u=Matrix(full), sigma=thin.sigma, v=thin.v)
+    # A^T = U' S V'^T: V is the completed U', its completion signed too.
+    u = np.array(thin.v.array)
+    _apply_sign_rule(full, u)
+    return SvdResult(u=Matrix(u), sigma=thin.sigma, v=Matrix(full))
 
 
 def pinv_apply(svd: SvdResult, y: Vector) -> Vector:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import (
     EmptyDataError,
     RankDeficiencyError,
 )
-from .linalg import Matrix, Vector, jacobi_svd, pinv_apply, _householder_qr_arrays
+from .linalg import Matrix, Vector, _householder_qr_arrays, _thin_svd, pinv_apply
 from .tolerances import CHOLESKY_PD_TOL, RANK_REL_TOL
 
 __all__ = ["Method", "OlsSolution", "mean_1d", "simple_regression", "solve_ols"]
@@ -36,12 +37,14 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class OlsSolution:
-    """Minimizer of ||A c - y||_2 with its residual norm."""
+    """Minimizer of ||A c - y||_2 with its residual norm; the SVD method
+    also returns the singular values of A as ``sigma``."""
 
     coefficients: Vector
     residual_norm: float
     method: Method
     rank_deficient: bool
+    sigma: Optional[Vector] = None
 
 
 def mean_1d(x: Vector) -> float:
@@ -137,19 +140,21 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
     arr = a.array
     ys = y.array
     rank_deficient = False
+    sigma = None
     if method is Method.NORMAL_EQUATIONS:
         c = _cholesky_solve(arr.T @ arr, arr.T @ ys)
     elif method is Method.QR:
-        q, r = _householder_qr_arrays(arr)
+        r, qty = _householder_qr_arrays(arr, ys[:, None])
         n = a.cols
         diag = np.abs(r.diagonal()[:n])
         if n and diag.min() <= RANK_REL_TOL * diag.max():
             raise RankDeficiencyError(
                 "qr: triangular factor has a negligible diagonal entry")
-        c = _solve_upper(r[:n, :n], q[:, :n].T @ ys)
+        c = _solve_upper(r[:n, :n], qty[:n, 0])
     elif method is Method.SVD:
-        svd = jacobi_svd(a)
+        svd = _thin_svd(arr)
         rank_deficient = svd.rank < a.cols
+        sigma = svd.sigma
         c = pinv_apply(svd, y).array
     else:
         raise ValueError(f"solve_ols: unknown method {method!r}")
@@ -159,4 +164,5 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
         residual_norm=float(np.linalg.norm(residual)),
         method=method,
         rank_deficient=rank_deficient,
+        sigma=sigma,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NoTlsSolutionError
-from .linalg import Matrix, Vector, jacobi_svd, truncate_rank
+from .linalg import Matrix, Vector, _thin_svd, truncate_rank
 from .tolerances import EXISTENCE_TOL, GAP_TOL
 
 __all__ = ["TlsSystemSolution", "augment", "solve_tls_system", "tls_objective"]
@@ -57,7 +57,7 @@ def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     if a.rows < n + 1:
         raise DimensionError(
             f"solve_tls_system: need rows > cols, got {a.rows} x {n}")
-    svd = jacobi_svd(augment(a, b))
+    svd = _thin_svd(augment(a, b).array)
     s = svd.sigma.array
     v_min = svd.v.array[:, n]
     if abs(v_min[n]) <= EXISTENCE_TOL:

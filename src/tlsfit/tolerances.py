@@ -1,7 +1,8 @@
 """Numerical thresholds shared across the solver modules.
 
-All comparisons against singular values are relative to the largest one,
-so the solvers behave the same under a global rescaling of the data.
+Rank decisions are relative to the largest singular value s_1, so a global
+rescaling of the data leaves them alone.  The tie test uses max(s_1, 1), so
+a well-separated cloud scaled down far enough (s_1 << 1) reads as tied.
 """
 
 # A singular value s_i counts as zero iff s_i <= RANK_REL_TOL * s_1.

@@ -12,9 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError
-from .geometry import PointCloud
-from .linalg import Matrix, Vector
+from tlsfit import DimensionError, Matrix, PointCloud, Vector
 
 __all__ = [
     "AngleSearchResult",

@@ -29,7 +29,7 @@ from tlsfit import (
     solve_tls_multi,
     solve_tls_system,
 )
-from tlsfit.oracles import line_angle_search, sym_eigen_closed_form
+from oracles import line_angle_search, sym_eigen_closed_form
 
 SQUARE_CORNERS = [[1, 1], [-1, 1], [1, -1], [-1, -1]]
 RANK1_A = [[1, 0], [0, 0], [0, 0]]

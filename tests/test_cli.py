@@ -248,6 +248,13 @@ def test_main_rejects_unknown_mode(tmp_path):
     assert info.value.code == EXIT_INPUT_ERROR
 
 
+def test_main_has_no_seed_option(tmp_path):
+    path = write(tmp_path, "e1.csv", SQUARE_CSV)
+    with pytest.raises(SystemExit) as info:
+        main(["tls-line", "--input", path, "--seed", "1"])
+    assert info.value.code == EXIT_INPUT_ERROR
+
+
 def test_cli_subprocess_examples_and_determinism(tmp_path):
     e1 = write(tmp_path, "e1.csv", SQUARE_CSV)
     e2 = write(tmp_path, "e2.csv", NO_SOLUTION_CSV)

@@ -1,6 +1,8 @@
 """Multiple right-hand sides and frozen-column TLS."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsfit import (
     DimensionError,
@@ -244,3 +246,53 @@ def test_fixed_dimension_checks():
     with pytest.raises(DimensionError):
         solve_tls_fixed(Matrix(np.ones((3, 1))), Matrix(np.ones((3, 2))),
                         Matrix(np.ones((3, 1))))
+
+
+
+dims = st.integers(1, 3)
+extra_rows = st.integers(0, 6)
+seeds = st.integers(0, 2**31)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=dims, p=dims, extra=extra_rows, seed=seeds)
+def test_fixed_property_nothing_frozen_is_multi(k, p, extra, seed):
+    rng = np.random.default_rng(seed)
+    m = k + p + extra
+    a, _, b = noisy_multi(rng, m, k, p, noise=0.1)
+    fixed = solve_tls_fixed(Matrix(np.zeros((m, 0))), Matrix(a), Matrix(b))
+    multi = solve_tls_multi(Matrix(a), Matrix(b))
+    assert fixed.x1.shape == (0, p)
+    assert np.array_equal(fixed.x2.array, multi.x.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=dims, p=dims, extra=extra_rows, seed=seeds)
+def test_fixed_property_everything_frozen_is_ols(j, p, extra, seed):
+    rng = np.random.default_rng(seed)
+    m = j + p + extra
+    a, _, b = noisy_multi(rng, m, j, p, noise=0.1)
+    fixed = solve_tls_fixed(Matrix(a), Matrix(np.zeros((m, 0))), Matrix(b))
+    assert fixed.x2.shape == (0, p)
+    for c in range(p):
+        ols = solve_ols(Matrix(a), Vector(b[:, c]), Method.SVD).coefficients
+        scale = max(1.0, np.abs(ols.array).max())
+        assert np.abs(fixed.x1.array[:, c] - ols.array).max() <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(2, 4), k=dims, p=dims, extra=extra_rows, seed=seeds)
+def test_fixed_property_rank_deficient_x1_avoids_null_space(
+        j, k, p, extra, seed):
+    rng = np.random.default_rng(seed)
+    m = j + k + p + extra
+    rank = int(rng.integers(0, j))
+    a1 = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, j))
+    a2 = rng.standard_normal((m, k))
+    b = a1 @ rng.standard_normal((j, p)) + a2 @ rng.standard_normal((k, p))
+    b += 0.1 * rng.standard_normal((m, p))
+    sol = solve_tls_fixed(Matrix(a1), Matrix(a2), Matrix(b))
+    assert not sol.x1_unique
+    null = np.linalg.svd(a1)[2][rank:].T  # LAPACK basis of null(A1)
+    scale = max(1.0, np.abs(sol.x1.array).max())
+    assert np.abs(null.T @ sol.x1.array).max() <= 1e-10 * scale

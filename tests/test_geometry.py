@@ -16,7 +16,7 @@ from tlsfit import (
     point_hyperplane_distance,
     simple_regression,
 )
-from tlsfit.oracles import line_angle_search
+from oracles import line_angle_search
 
 SQUARE_CORNERS = [[1, 1], [-1, 1], [1, -1], [-1, -1]]
 

@@ -18,7 +18,7 @@ from tlsfit import (
     pinv_apply,
     truncate_rank,
 )
-from tlsfit.oracles import sym_eigen_closed_form
+from oracles import sym_eigen_closed_form
 
 SQUARE_CORNERS = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
 # Augmented matrix whose null right-singular direction is the middle

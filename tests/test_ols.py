@@ -10,11 +10,12 @@ from tlsfit import (
     Method,
     RankDeficiencyError,
     Vector,
+    jacobi_svd,
     mean_1d,
     simple_regression,
     solve_ols,
 )
-from tlsfit.oracles import perturbation_probe
+from oracles import perturbation_probe
 
 
 def test_mean_single_point():
@@ -175,6 +176,16 @@ def test_solve_ols_qr_svd_agree_minimum_norm_full_rank():
         svd = solve_ols(Matrix(a), Vector(y), Method.SVD)
         np.testing.assert_allclose(qr.coefficients.array,
                                    svd.coefficients.array, rtol=1e-8)
+
+
+def test_solve_ols_svd_carries_singular_values():
+    rng = np.random.default_rng(49)
+    a = rng.standard_normal((9, 3))
+    y = Vector(rng.standard_normal(9))
+    sol = solve_ols(Matrix(a), y, Method.SVD)
+    assert np.array_equal(sol.sigma.array, jacobi_svd(Matrix(a)).sigma.array)
+    for method in (Method.NORMAL_EQUATIONS, Method.QR):
+        assert solve_ols(Matrix(a), y, method).sigma is None
 
 
 def test_solve_ols_input_validation():

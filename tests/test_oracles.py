@@ -6,7 +6,7 @@ import pytest
 
 from tlsfit import Matrix, PointCloud, Vector, jacobi_svd, solve_ols
 from tlsfit.errors import DimensionError
-from tlsfit.oracles import (
+from oracles import (
     line_angle_search,
     perturbation_probe,
     sym_eigen_closed_form,

@@ -15,7 +15,7 @@ from tlsfit import (
     solve_tls_system,
     tls_objective,
 )
-from tlsfit.oracles import perturbation_probe
+from oracles import perturbation_probe
 
 RANK1_A = [[1, 0], [0, 0], [0, 0]]
 ONES_RHS = [1.0, 1.0, 1.0]
