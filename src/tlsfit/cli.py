@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -73,17 +73,7 @@ class FitReport:
     error: Optional[dict] = None
 
     def fields(self):
-        return (
-            ("mode", self.mode),
-            ("coefficients", self.coefficients),
-            ("normal", self.normal),
-            ("centroid", self.centroid),
-            ("objective", self.objective),
-            ("singular_values", self.singular_values),
-            ("unique", self.unique),
-            ("expressible", self.expressible),
-            ("error", self.error),
-        )
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
 
 def parse_csv(path: str) -> Matrix:
@@ -215,13 +205,13 @@ def _fit_fixed(data: Matrix, request: FitRequest, report: FitReport) -> None:
 
 
 _ERROR_KINDS = (
-    (NoTlsSolutionError, "no_tls_solution"),
     (FormatError, "format_error"),
     (EmptyDataError, "empty_data"),
     (DegenerateAbscissaError, "degenerate_abscissa"),
     (DimensionError, "dimension_error"),
     (RankDeficiencyError, "rank_deficiency"),
     (ConvergenceError, "convergence_error"),
+    (MemoryError, "memory_error"),
 )
 
 
@@ -259,10 +249,10 @@ def run(request: FitRequest):
         }
         report.singular_values = _vec(exc.sigma)
         return report, EXIT_NO_TLS_SOLUTION
-    except (FitError, OSError, ValueError) as exc:
+    except (FitError, OSError, ValueError, MemoryError) as exc:
         report.error = {
             "kind": _error_kind(exc),
-            "detail": str(exc),
+            "detail": str(exc) or "out of memory",
             "null_vector": None,
         }
         return report, EXIT_INPUT_ERROR

@@ -2,12 +2,13 @@
 
 With p right-hand sides the SVD of (A | B) is partitioned after column n;
 the solution is X = -V12 V22^{-1} when the trailing p x p block V22 is
-invertible, and the rank-n truncation is the nearest solvable system.
+invertible (``system._tls_split``, shared by every TLS fit), and the
+rank-n truncation is the nearest solvable system.
 
 With frozen columns the system matrix splits into an error-free block A1
 and an uncertain block A2.  The solve projects A2 and B off the column
-space of A1 (the leading left singular vectors U1 of its SVD), solves the
-reduced multi-RHS TLS problem on the projected block, and recovers the
+space of A1 (the leading left singular vectors U1 of its SVD), splits the
+projected block after its k = cols(A2) columns, and recovers the
 frozen-block coefficients as X1 = V1 S1^-1 U1^T (B - A2 X2), the
 minimum-norm choice when A1 is rank-deficient.  Ordinary least squares
 is the special case of freezing every column.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, NoTlsSolutionError
 from .linalg import Matrix, Vector, _thin_svd, truncate_rank
-from .tolerances import EXISTENCE_TOL, GAP_TOL
+from .system import _tls_split
 
 __all__ = [
     "MultiRhsSolution",
@@ -56,6 +57,19 @@ class FixedColsSolution:
     x1_unique: bool
 
 
+def _split_or_raise(c: np.ndarray, n: int):
+    """``_tls_split`` of C after column n, raising when X does not exist."""
+    svd, x, null_vector, s22, unique = _tls_split(c, n)
+    if x is None:
+        raise NoTlsSolutionError(
+            "no TLS solution: the trailing block of the right singular "
+            f"matrix is singular (smallest singular value {s22:.3e})",
+            null_vector=Vector(null_vector),
+            sigma=svd.sigma,
+        )
+    return svd, x, unique
+
+
 def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
     """Solve A X = B with p right-hand sides in the TLS sense.
 
@@ -75,25 +89,9 @@ def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
         raise DimensionError(
             f"solve_tls_multi: need rows >= cols(A) + cols(B), "
             f"got {m} < {n} + {p}")
-    svd = _thin_svd(np.asfortranarray(np.column_stack([a.array, b.array])))
-    s = svd.sigma.array
-    v = svd.v.array
-    v12 = v[:n, n:]
-    v22 = v[n:, n:]
-    sub = _thin_svd(v22)
-    s22 = sub.sigma.array
-    if s22[p - 1] <= EXISTENCE_TOL:
-        raise NoTlsSolutionError(
-            "no TLS solution: the trailing block of the right singular "
-            f"matrix is singular (smallest singular value {s22[p - 1]:.3e})",
-            null_vector=Vector(v[:, n:] @ sub.v.array[:, p - 1]),
-            sigma=svd.sigma,
-        )
-    inv22 = (sub.v.array / s22) @ sub.u.array.T
-    unique = True if n == 0 else bool(
-        (s[n - 1] - s[n]) > GAP_TOL * max(s[0], 1.0))
+    svd, x, unique = _split_or_raise(np.column_stack([a.array, b.array]), n)
     return MultiRhsSolution(
-        x=Matrix(-v12 @ inv22),
+        x=Matrix(x),
         nearest_system=truncate_rank(svd, n),
         sigma=svd.sigma,
         unique=unique,
@@ -117,20 +115,19 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     if m < j + k + p:
         raise DimensionError(
             f"solve_tls_fixed: need rows >= {j} + {k} + {p}, got {m}")
+    if p < 1:
+        raise DimensionError("solve_tls_fixed: B needs at least one column")
     svd1 = _thin_svd(a1.array)
     r = svd1.rank
     u1 = svd1.u.array[:, :r]
     # Projecting [A2 B] off U1 leaves the Gram matrix, hence sigma and V,
     # of its block in the orthogonal complement of A1's column space.
     a2b = np.column_stack([a2.array, b.array])
-    projected = a2b - u1 @ (u1.T @ a2b)
-    reduced = solve_tls_multi(Matrix(projected[:, :k]),
-                              Matrix(projected[:, k:]))
-    x2 = reduced.x.array
+    svd, x2, _ = _split_or_raise(a2b - u1 @ (u1.T @ a2b), k)
     # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
     rhs1 = u1.T @ (b.array - a2.array @ x2)
     x1 = svd1.v.array[:, :r] @ (rhs1 / svd1.sigma.array[:r, None])
-    minimized = np.sum(reduced.sigma.array[k:] ** 2)
+    minimized = np.sum(svd.sigma.array[k:] ** 2)
     return FixedColsSolution(
         x1=Matrix(x1),
         x2=Matrix(x2),

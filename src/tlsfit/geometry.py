@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import Matrix, Vector, _thin_svd
-from .tolerances import EXPRESSIBILITY_TOL, GAP_TOL
+from .linalg import Matrix, Vector
+from .system import _tls_split
 
 __all__ = [
     "PointCloud",
@@ -101,22 +101,19 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
         raise DimensionError(
             f"fit_hyperplane_tls: need at least {n} points in R^{n}, got {m}")
     center = cloud.points.array.mean(axis=0)
-    svd = _thin_svd(cloud.points.array - center)
-    s = svd.sigma.array
-    normal = svd.v.array[:, n - 1]
-    unique = (s[n - 2] - s[n - 1]) > GAP_TOL * max(s[0], 1.0)
-    expressible = abs(normal[n - 1]) > EXPRESSIBILITY_TOL
+    # y = c0 + slope . x is the one-column TLS split of the centered cloud.
+    svd, x, _, _, unique = _tls_split(cloud.points.array - center, n - 1)
     explicit = None
-    if expressible:
-        slope = -normal[:n - 1] / normal[n - 1]
+    if x is not None:
+        slope = x[:, 0]
         c0 = center[n - 1] - slope @ center[:n - 1]
         explicit = Vector(np.concatenate(([c0], slope)))
     return HyperplaneFit(
         centroid=Vector(center),
-        normal=Vector(normal),
-        objective=float(s[n - 1] ** 2),
-        unique=bool(unique),
-        expressible=bool(expressible),
+        normal=svd.v.column(n - 1),
+        objective=float(svd.sigma.array[n - 1] ** 2),
+        unique=unique,
+        expressible=x is not None,
         explicit_coeffs=explicit,
         sigma=svd.sigma,
     )

@@ -106,10 +106,7 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     z = np.zeros(n)
     for i in range(n):
         z[i] = (rhs[i] - low[i, :i] @ z[:i]) / low[i, i]
-    c = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        c[i] = (z[i] - low[i + 1:, i] @ c[i + 1:]) / low[i, i]
-    return c
+    return _solve_upper(low.T, z)
 
 
 def _solve_upper(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Total least squares solution of an overdetermined system A x = b.
 
-The rows of the augmented matrix (A | -b) form a cloud in R^{n+1}; the
-TLS solution comes from its right singular vector for the smallest
-singular value.  Renormalizing that vector's last component to 1 yields
-the coefficients, provided the component is nonzero; truncating the SVD
-to rank n yields the nearest solvable system.  The augmented sign
-convention here is (A | -b) with the homogeneous vector (c; 1); the
-common (A | b) convention with (c; -1) has identical singular values.
+Every TLS fit here is ``_tls_split``: the SVD of C = (A | B) split after
+column n gives X = -V12 V22^{-1} when V22 is nonsingular.  For (A | -b),
+V22 is the last component of the subdominant right singular vector and
+X renormalizes that vector; truncating the SVD to rank n yields the
+nearest solvable system.  The augmented sign convention here is (A | -b)
+with the homogeneous vector (c; 1); the common (A | b) convention with
+(c; -1) has identical singular values.
 """
 from __future__ import annotations
 
@@ -44,6 +44,25 @@ def augment(a: Matrix, b: Vector) -> Matrix:
     return Matrix(np.column_stack([a.array, -b.array]))
 
 
+def _tls_split(c: np.ndarray, n: int):
+    """SVD of C = (A | B) split after column n, and X = -V12 V22^{-1}.
+
+    Returns (svd, x, null_vector, s22, unique): x is None when s22, the
+    smallest singular value of V22, is at most EXISTENCE_TOL; null_vector
+    is V[:, n:] times its right singular vector; unique is the gap test
+    at column n.
+    """
+    svd = _thin_svd(np.asfortranarray(c))
+    s, v = svd.sigma.array, svd.v.array
+    sub = _thin_svd(v[n:, n:])
+    s22, v22 = sub.sigma.array, sub.v.array
+    x = None
+    if s22[-1] > EXISTENCE_TOL:  # dividing before U22^T keeps p = 1 exact
+        x = ((-v[:n, n:] @ v22) / s22) @ sub.u.array.T
+    unique = n == 0 or bool((s[n - 1] - s[n]) > GAP_TOL * max(s[0], 1.0))
+    return svd, x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
+
+
 def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     """Solve A x = b in the TLS sense via the SVD of (A | -b).
 
@@ -57,23 +76,20 @@ def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     if a.rows < n + 1:
         raise DimensionError(
             f"solve_tls_system: need rows > cols, got {a.rows} x {n}")
-    svd = _thin_svd(augment(a, b).array)
-    s = svd.sigma.array
-    v_min = svd.v.array[:, n]
-    if abs(v_min[n]) <= EXISTENCE_TOL:
+    svd, x, null_vector, _, unique = _tls_split(augment(a, b).array, n)
+    if x is None:
         raise NoTlsSolutionError(
             "no TLS solution: the subdominant right singular vector has a "
-            f"vanishing last component ({v_min[n]:.3e})",
-            null_vector=Vector(v_min),
+            f"vanishing last component ({svd.v.array[n, n]:.3e})",
+            null_vector=Vector(null_vector),
             sigma=svd.sigma,
         )
-    coefficients = Vector(v_min[:n] / v_min[n])
     return TlsSystemSolution(
-        coefficients=coefficients,
+        coefficients=Vector(-x[:, 0]),
         nearest_system=truncate_rank(svd, n),
         sigma=svd.sigma,
-        unique=bool((s[n - 1] - s[n]) > GAP_TOL * max(s[0], 1.0)),
-        tls_residual=float(s[n]),
+        unique=unique,
+        tls_residual=float(svd.sigma.array[n]),
     )
 
 

@@ -11,10 +11,10 @@ RANK_REL_TOL = 1e-12
 # s_k and s_{k+1} count as a tie iff s_k - s_{k+1} <= GAP_TOL * max(s_1, 1).
 GAP_TOL = 1e-10
 
-# Smallest magnitude of a trailing normal/null-vector component that still
-# permits renormalization to an explicit solution.
+# X = -V12 V22^{-1} exists iff V22's smallest singular value exceeds this; for
+# one column that is |last component|, deciding ``expressible`` for a
+# hyperplane and NoTlsSolutionError for a system or multi-RHS fit alike.
 EXISTENCE_TOL = 1e-10
-EXPRESSIBILITY_TOL = 1e-10
 
 # One-sided Jacobi sweep control: a column pair (i, j) counts as orthogonal
 # iff |a_i . a_j| <= JACOBI_OFFDIAG_TOL * ||a_i|| * ||a_j||.

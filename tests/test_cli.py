@@ -199,6 +199,23 @@ def test_run_input_errors(tmp_path):
     assert report.error["kind"] == "dimension_error"
 
 
+def test_memory_error_is_a_typed_report(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("tlsfit.cli.solve_tls_system", exhausted)
+    path = write(tmp_path, "e1.csv", SQUARE_CSV)
+    report, code = run(FitRequest(mode="tls-system", input_path=path))
+    assert code == EXIT_INPUT_ERROR
+    assert report.error == {"kind": "memory_error", "detail": "out of memory",
+                            "null_vector": None}
+
+    assert main(["tls-system", "--input", path]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["kind"] == "memory_error"
+    assert captured.err == "fit: memory_error: out of memory\n"
+
+
 # ---------------------------------------------------------------------------
 # rendering and entry point
 

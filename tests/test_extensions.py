@@ -246,6 +246,9 @@ def test_fixed_dimension_checks():
     with pytest.raises(DimensionError):
         solve_tls_fixed(Matrix(np.ones((3, 1))), Matrix(np.ones((3, 2))),
                         Matrix(np.ones((3, 1))))
+    with pytest.raises(DimensionError):
+        solve_tls_fixed(Matrix(np.ones((4, 1))), Matrix(np.ones((4, 1))),
+                        Matrix(np.ones((4, 0))))
 
 
 
@@ -296,3 +299,24 @@ def test_fixed_property_rank_deficient_x1_avoids_null_space(
     null = np.linalg.svd(a1)[2][rank:].T  # LAPACK basis of null(A1)
     scale = max(1.0, np.abs(sol.x1.array).max())
     assert np.abs(null.T @ sol.x1.array).max() <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), extra=extra_rows, seed=seeds)
+def test_property_system_and_hyperplane_share_the_multi_split(n, extra, seed):
+    """One TLS split serves all three solvers, so they agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    m = n + 1 + extra
+    a, _, b = noisy_multi(rng, m, n, 1, noise=0.1)
+    system = solve_tls_system(Matrix(a), Vector(b[:, 0]))
+    multi = solve_tls_multi(Matrix(a), Matrix(b))
+    assert np.array_equal(system.coefficients.array, multi.x.array[:, 0])
+
+    points = rng.standard_normal((m, n + 1)) * rng.uniform(0.1, 3.0, n + 1)
+    fit = fit_hyperplane_tls(PointCloud(points))
+    centered = points - fit.centroid.array
+    on_cloud = solve_tls_multi(Matrix(centered[:, :-1]),
+                               Matrix(centered[:, -1:]))
+    assert fit.expressible
+    slope = fit.explicit_coeffs.array[1:]
+    assert np.array_equal(slope, on_cloud.x.array[:, 0])
