@@ -127,8 +127,8 @@ def _vec(v) -> list:
     return [float(t) for t in np.asarray(v.array if isinstance(v, Vector) else v)]
 
 
-def _mat_rows(m: Matrix) -> list:
-    return [[float(t) for t in row] for row in m.array]
+def _mat_rows(rows: np.ndarray) -> list:
+    return [[float(t) for t in row] for row in rows]
 
 
 def _fit_ols(data: Matrix, report: FitReport) -> None:
@@ -182,7 +182,7 @@ def _fit_multi(data: Matrix, request: FitRequest, report: FitReport) -> None:
     arr = data.array
     solution = solve_tls_multi(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
     n = data.cols - p
-    report.coefficients = _mat_rows(solution.x)
+    report.coefficients = _mat_rows(solution.x.array)
     report.objective = float(np.sum(solution.sigma.array[n:] ** 2))
     report.singular_values = _vec(solution.sigma)
     report.unique = solution.unique
@@ -198,8 +198,8 @@ def _fit_fixed(data: Matrix, request: FitRequest, report: FitReport) -> None:
     solution = solve_tls_fixed(
         Matrix(arr[:, :j]), Matrix(arr[:, j:data.cols - p]),
         Matrix(arr[:, data.cols - p:]))
-    stacked = np.vstack([solution.x1.array, solution.x2.array])
-    report.coefficients = _mat_rows(Matrix(stacked))
+    report.coefficients = _mat_rows(
+        np.vstack([solution.x1.array, solution.x2.array]))
     report.objective = float(solution.minimized_value)
     report.unique = solution.x1_unique
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NoTlsSolutionError
-from .linalg import Matrix, Vector, _thin_svd, truncate_rank
+from .linalg import Matrix, Vector, _pinv, _rank, _thin_svd, _truncate
 from .system import _tls_split
 
 __all__ = [
@@ -59,15 +59,15 @@ class FixedColsSolution:
 
 def _split_or_raise(c: np.ndarray, n: int):
     """``_tls_split`` of C after column n, raising when X does not exist."""
-    svd, x, null_vector, s22, unique = _tls_split(c, n)
+    factors, x, null_vector, s22, unique = _tls_split(c, n)
     if x is None:
         raise NoTlsSolutionError(
             "no TLS solution: the trailing block of the right singular "
             f"matrix is singular (smallest singular value {s22:.3e})",
             null_vector=Vector(null_vector),
-            sigma=svd.sigma,
+            sigma=Vector(factors[1]),
         )
-    return svd, x, unique
+    return factors, x, unique
 
 
 def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
@@ -89,11 +89,12 @@ def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
         raise DimensionError(
             f"solve_tls_multi: need rows >= cols(A) + cols(B), "
             f"got {m} < {n} + {p}")
-    svd, x, unique = _split_or_raise(np.column_stack([a.array, b.array]), n)
+    factors, x, unique = _split_or_raise(
+        np.column_stack([a.array, b.array]), n)
     return MultiRhsSolution(
         x=Matrix(x),
-        nearest_system=truncate_rank(svd, n),
-        sigma=svd.sigma,
+        nearest_system=Matrix(_truncate(*factors, n)),
+        sigma=Vector(factors[1]),
         unique=unique,
     )
 
@@ -117,17 +118,16 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
             f"solve_tls_fixed: need rows >= {j} + {k} + {p}, got {m}")
     if p < 1:
         raise DimensionError("solve_tls_fixed: B needs at least one column")
-    svd1 = _thin_svd(a1.array)
-    r = svd1.rank
-    u1 = svd1.u.array[:, :r]
+    u1, s1, v1 = _thin_svd(a1.array)
+    r = _rank(s1)
+    basis = u1[:, :r]
     # Projecting [A2 B] off U1 leaves the Gram matrix, hence sigma and V,
     # of its block in the orthogonal complement of A1's column space.
     a2b = np.column_stack([a2.array, b.array])
-    svd, x2, _ = _split_or_raise(a2b - u1 @ (u1.T @ a2b), k)
+    (_, s, _), x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k)
     # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
-    rhs1 = u1.T @ (b.array - a2.array @ x2)
-    x1 = svd1.v.array[:, :r] @ (rhs1 / svd1.sigma.array[:r, None])
-    minimized = np.sum(svd.sigma.array[k:] ** 2)
+    x1 = _pinv(u1, s1, v1, b.array - a2.array @ x2)
+    minimized = np.sum(s[k:] ** 2)
     return FixedColsSolution(
         x1=Matrix(x1),
         x2=Matrix(x2),

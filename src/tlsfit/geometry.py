@@ -102,7 +102,8 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
             f"fit_hyperplane_tls: need at least {n} points in R^{n}, got {m}")
     center = cloud.points.array.mean(axis=0)
     # y = c0 + slope . x is the one-column TLS split of the centered cloud.
-    svd, x, _, _, unique = _tls_split(cloud.points.array - center, n - 1)
+    centered = cloud.points.array - center
+    (_, s, v), x, _, _, unique = _tls_split(centered, n - 1)
     explicit = None
     if x is not None:
         slope = x[:, 0]
@@ -110,12 +111,12 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
         explicit = Vector(np.concatenate(([c0], slope)))
     return HyperplaneFit(
         centroid=Vector(center),
-        normal=svd.v.column(n - 1),
-        objective=float(svd.sigma.array[n - 1] ** 2),
+        normal=Vector(v[:, n - 1]),
+        objective=float(s[n - 1] ** 2),
         unique=unique,
         expressible=x is not None,
         explicit_coeffs=explicit,
-        sigma=svd.sigma,
+        sigma=Vector(s),
     )
 
 

@@ -3,8 +3,12 @@
 Everything the fitting modules consume lives here: immutable matrix and
 vector containers (column-major storage), Householder QR, a one-sided
 Jacobi SVD, minimum-norm pseudo-inverse application and Frobenius-optimal
-rank truncation.  The kernels are written for small dense problems; no
-attempt is made at large-scale performance.
+rank truncation.
+
+Arrays inside, containers at the public boundary: public functions take
+and return the validated ``Matrix``/``Vector``; the private helpers
+(``_thin_svd``, ``_rank``, ``_pinv``, ``_truncate``) work on ndarrays, so
+the solvers build a container only for a value they return.
 """
 from __future__ import annotations
 
@@ -159,9 +163,10 @@ class QrResult:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Factorization A = U diag(sigma) V^T, sigma descending.
+    """Full factorization A = U diag(sigma) V^T of an m x n matrix.
 
-    U is m x m from ``jacobi_svd``; inside the solvers it is thin (m x n).
+    Built only by ``jacobi_svd``: U is m x m, V is n x n and sigma holds
+    the min(m, n) singular values in descending order.
     """
 
     u: Matrix
@@ -171,10 +176,41 @@ class SvdResult:
     @property
     def rank(self) -> int:
         """Numerical rank under the shared relative threshold."""
-        s = self.sigma.array
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
+        return _rank(self.sigma.array)
+
+
+def _binary_exponent(a) -> int:
+    """The e with max|a| in [2^(e-1), 2^e), or 0 when a is all zero.
+
+    Scaling by 2^-e is exact and puts the largest entry in [0.5, 1), which
+    keeps squares and products away from both overflow and underflow.
+    """
+    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank of descending singular values s: the count of those
+    above RANK_REL_TOL times the largest."""
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0])) if s.size else 0
+
+
+def _pinv(u: np.ndarray, s: np.ndarray, v: np.ndarray, rhs: np.ndarray):
+    """Minimum-norm least squares solution V diag(s)^+ U^T rhs.
+
+    ``rhs`` is 1-d or 2-d; singular values past ``_rank(s)`` count as
+    zero, which fixes the undetermined components to zero.
+    """
+    k = s.shape[0]
+    rank = _rank(s)
+    inv = np.zeros(k)
+    inv[:rank] = 1.0 / s[:rank]
+    coeffs = u[:, :k].T @ rhs
+    return v[:, :k] @ ((inv if rhs.ndim == 1 else inv[:, None]) * coeffs)
+
+
+def _truncate(u: np.ndarray, s: np.ndarray, v: np.ndarray, k: int):
+    """Sum of the k leading rank-one terms s_i u_i v_i^T."""
+    return (u[:, :k] * s[:k]) @ v[:, :k].T
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -207,10 +243,13 @@ def _householder_qr_arrays(a: np.ndarray, block: np.ndarray):
 
     Returns (r, Q^T block) with r m x n upper triangular with nonnegative
     diagonal.  Q is never formed; the reflectors are applied to the 2-d
-    m-row ``block`` instead, so a block I_m yields Q^T.
+    m-row ``block`` instead, so a block I_m yields Q^T.  The work runs on
+    A scaled by an exact power of two, so R scales exactly with A and the
+    reflectors do not depend on its scale.
     """
     m, n = a.shape
-    r = a.copy()
+    exponent = _binary_exponent(a)
+    r = np.ldexp(a, -exponent, order="C")
     qt_block = np.array(block, dtype=float, order="F")
     for j in range(n):
         x = r[j:, j]
@@ -232,7 +271,7 @@ def _householder_qr_arrays(a: np.ndarray, block: np.ndarray):
         if r[j, j] < 0.0:
             r[j, j:] = -r[j, j:]
             qt_block[j] = -qt_block[j]
-    return r, qt_block
+    return np.ldexp(r, exponent), qt_block
 
 
 def householder_qr(a: Matrix) -> QrResult:
@@ -326,31 +365,30 @@ def _apply_sign_rule(v: np.ndarray, u: np.ndarray) -> None:
                 u[:, j] = -u[:, j]
 
 
-def _thin_svd(a: np.ndarray) -> SvdResult:
-    """Thin SVD of an m x n array with m >= n via one-sided Jacobi.
+def _thin_svd(a: np.ndarray):
+    """Thin SVD (u, s, v) of an m x n array with m >= n via one-sided Jacobi.
 
-    U is m x n, with zero columns for exactly zero singular values; signs
+    u is m x n, with zero columns for exactly zero singular values; signs
     follow ``jacobi_svd``.  The solvers call this and never form an m x m U.
+    u and v are column-major like ``Matrix`` storage, so products with them
+    round as products with the public factors do.
     """
     m, n = a.shape
-    # Exact power-of-two scaling puts the largest entry in [0.5, 1), which
-    # keeps squared column norms away from both overflow and underflow.
-    largest = float(np.abs(a).max(initial=0.0))
-    exponent = math.frexp(largest)[1] if largest > 0.0 else 0
+    # Scaling keeps squared column norms away from overflow and underflow.
+    exponent = _binary_exponent(a)
     w = np.ldexp(a, -exponent)
     v = np.eye(n)
     _jacobi_sweeps(w, v)
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     scaled = norms[order]
-    v = v[:, order]
-    u = np.zeros((m, n))
+    v = np.asfortranarray(v[:, order])
+    u = np.zeros((m, n), order="F")
     for k in range(n):
         if scaled[k] > 0.0:
             u[:, k] = w[:, order[k]] / scaled[k]
     _apply_sign_rule(v, u)
-    return SvdResult(u=Matrix(u), sigma=Vector(np.ldexp(scaled, exponent)),
-                     v=Matrix(v))
+    return u, np.ldexp(scaled, exponent), v
 
 
 def jacobi_svd(a: Matrix) -> SvdResult:
@@ -363,16 +401,14 @@ def jacobi_svd(a: Matrix) -> SvdResult:
     A is wide) is completed to square factors.
     """
     tall = a.rows >= a.cols
-    thin = _thin_svd(a.array if tall else a.array.T)
-    left = thin.u.array
-    nonzero = int(np.count_nonzero(left.any(axis=0)))
-    full = _complete_orthonormal(left[:, :nonzero], left.shape[0])
+    u, s, v = _thin_svd(a.array if tall else a.array.T)
+    nonzero = int(np.count_nonzero(u.any(axis=0)))
+    full = _complete_orthonormal(u[:, :nonzero], u.shape[0])
     if tall:
-        return SvdResult(u=Matrix(full), sigma=thin.sigma, v=thin.v)
+        return SvdResult(u=Matrix(full), sigma=Vector(s), v=Matrix(v))
     # A^T = U' S V'^T: V is the completed U', its completion signed too.
-    u = np.array(thin.v.array)
-    _apply_sign_rule(full, u)
-    return SvdResult(u=Matrix(u), sigma=thin.sigma, v=Matrix(full))
+    _apply_sign_rule(full, v)
+    return SvdResult(u=Matrix(v), sigma=Vector(s), v=Matrix(full))
 
 
 def pinv_apply(svd: SvdResult, y: Vector) -> Vector:
@@ -385,14 +421,7 @@ def pinv_apply(svd: SvdResult, y: Vector) -> Vector:
     if y.len != m:
         raise DimensionError(
             f"pinv_apply: y has length {y.len}, expected {m}")
-    s = svd.sigma.array
-    k = s.shape[0]
-    coeffs = svd.u.array[:, :k].T @ y.array
-    inv = np.zeros(k)
-    if k and s[0] > 0.0:
-        keep = s > RANK_REL_TOL * s[0]
-        inv[keep] = 1.0 / s[keep]
-    return Vector(svd.v.array[:, :k] @ (inv * coeffs))
+    return Vector(_pinv(svd.u.array, svd.sigma.array, svd.v.array, y.array))
 
 
 def truncate_rank(svd: SvdResult, k: int) -> Matrix:
@@ -405,7 +434,4 @@ def truncate_rank(svd: SvdResult, k: int) -> Matrix:
     if not 0 <= k <= min(m, n):
         raise DimensionError(
             f"truncate_rank: k={k} outside [0, {min(m, n)}]")
-    u = svd.u.array[:, :k]
-    s = svd.sigma.array[:k]
-    v = svd.v.array[:, :k]
-    return Matrix((u * s) @ v.T)
+    return Matrix(_truncate(svd.u.array, svd.sigma.array, svd.v.array, k))

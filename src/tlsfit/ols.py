@@ -20,7 +20,8 @@ from .errors import (
     EmptyDataError,
     RankDeficiencyError,
 )
-from .linalg import Matrix, Vector, _householder_qr_arrays, _thin_svd, pinv_apply
+from .linalg import (Matrix, Vector, _binary_exponent, _householder_qr_arrays,
+                     _pinv, _rank, _thin_svd)
 from .tolerances import CHOLESKY_PD_TOL, RANK_REL_TOL
 
 __all__ = ["Method", "OlsSolution", "mean_1d", "simple_regression", "solve_ols"]
@@ -59,36 +60,50 @@ def simple_regression(x: Vector, y: Vector) -> OlsSolution:
 
     b = sum (xbar - x_i)(ybar - y_i) / sum (xbar - x_i)^2 and
     a = ybar - b xbar, so the fitted line passes through the centroid.
+    x and y are each scaled by an exact power of two first, so scaling
+    either by 2^k scales the result exactly.
     """
     if x.len != y.len:
         raise DimensionError(
             f"simple_regression: {x.len} abscissae vs {y.len} ordinates")
     if x.len < 2:
         raise DimensionError("simple_regression: need at least 2 points")
-    xs, ys = x.array, y.array
-    xbar, ybar = xs.mean(), ys.mean()
-    dx = xbar - xs
-    denom = float(dx @ dx)
-    if denom == 0.0:
+    ex, ey = _binary_exponent(x.array), _binary_exponent(y.array)
+    xs, ys = np.ldexp(x.array, -ex), np.ldexp(y.array, -ey)
+    if np.ptp(xs) == 0.0:
         raise DegenerateAbscissaError(
             "simple_regression: all abscissae equal, slope undefined")
-    b = float(dx @ (ybar - ys)) / denom
+    xbar, ybar = xs.mean(), ys.mean()
+    dx = xbar - xs
+    b = float(dx @ (ybar - ys)) / float(dx @ dx)
     a = ybar - b * xbar
     residual = ys - a - b * xs
     return OlsSolution(
-        coefficients=Vector([a, b]),
-        residual_norm=float(np.linalg.norm(residual)),
+        coefficients=Vector(np.ldexp([a, b], [ey, ey - ex])),
+        residual_norm=float(np.ldexp(_norm(residual), ey)),
         method=Method.CLOSED_FORM,
         rank_deficient=False,
     )
 
 
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD system gram @ c = rhs, or flag rank deficiency.
+def _norm(r: np.ndarray) -> float:
+    """||r||_2, computed on r scaled by an exact power of two so that the
+    squares neither overflow nor underflow."""
+    exponent = _binary_exponent(r)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(r, -exponent)), exponent))
 
-    A pivot at or below CHOLESKY_PD_TOL times the largest initial diagonal
-    entry means the Gram matrix is not numerically positive definite.
+
+def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve A^T A c = A^T y by Cholesky, or flag rank deficiency.
+
+    A and y are first divided by exact powers of two, which keeps the Gram
+    matrix finite and nonzero.  A pivot at or below CHOLESKY_PD_TOL times
+    the largest initial diagonal entry means the Gram matrix is not
+    numerically positive definite; the error reports it in A's units.
     """
+    ea, ey = _binary_exponent(a), _binary_exponent(y)
+    a, y = np.ldexp(a, -ea), np.ldexp(y, -ey)
+    gram, rhs = a.T @ a, a.T @ y
     n = gram.shape[0]
     scale = float(gram.diagonal().max(initial=0.0))
     if scale <= 0.0:
@@ -97,16 +112,18 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for j in range(n):
         d = gram[j, j] - low[j, :j] @ low[j, :j]
         if d <= CHOLESKY_PD_TOL * scale:
+            with np.errstate(over="ignore"):
+                pivot = np.ldexp(d, 2 * ea)
             raise RankDeficiencyError(
                 "normal equations: Gram matrix not positive definite "
-                f"(pivot {d:.3e} at column {j})")
+                f"(pivot {pivot:.3e} at column {j})")
         low[j, j] = math.sqrt(d)
         low[j + 1:, j] = (gram[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     # Forward then back substitution.
     z = np.zeros(n)
     for i in range(n):
         z[i] = (rhs[i] - low[i, :i] @ z[:i]) / low[i, i]
-    return _solve_upper(low.T, z)
+    return np.ldexp(_solve_upper(low.T, z), ey - ea)
 
 
 def _solve_upper(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -139,7 +156,7 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
     rank_deficient = False
     sigma = None
     if method is Method.NORMAL_EQUATIONS:
-        c = _cholesky_solve(arr.T @ arr, arr.T @ ys)
+        c = _normal_equations(arr, ys)
     elif method is Method.QR:
         r, qty = _householder_qr_arrays(arr, ys[:, None])
         n = a.cols
@@ -149,16 +166,15 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
                 "qr: triangular factor has a negligible diagonal entry")
         c = _solve_upper(r[:n, :n], qty[:n, 0])
     elif method is Method.SVD:
-        svd = _thin_svd(arr)
-        rank_deficient = svd.rank < a.cols
-        sigma = svd.sigma
-        c = pinv_apply(svd, y).array
+        u, s, v = _thin_svd(arr)
+        rank_deficient = _rank(s) < a.cols
+        sigma = Vector(s)
+        c = _pinv(u, s, v, ys)
     else:
         raise ValueError(f"solve_ols: unknown method {method!r}")
-    residual = arr @ c - ys
     return OlsSolution(
         coefficients=Vector(c),
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=_norm(arr @ c - ys),
         method=method,
         rank_deficient=rank_deficient,
         sigma=sigma,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NoTlsSolutionError
-from .linalg import Matrix, Vector, _thin_svd, truncate_rank
+from .linalg import Matrix, Vector, _thin_svd, _truncate
 from .tolerances import EXISTENCE_TOL, GAP_TOL
 
 __all__ = ["TlsSystemSolution", "augment", "solve_tls_system", "tls_objective"]
@@ -47,20 +47,18 @@ def augment(a: Matrix, b: Vector) -> Matrix:
 def _tls_split(c: np.ndarray, n: int):
     """SVD of C = (A | B) split after column n, and X = -V12 V22^{-1}.
 
-    Returns (svd, x, null_vector, s22, unique): x is None when s22, the
-    smallest singular value of V22, is at most EXISTENCE_TOL; null_vector
-    is V[:, n:] times its right singular vector; unique is the gap test
-    at column n.
+    Returns ((u, s, v), x, null_vector, s22, unique): (u, s, v) is the
+    thin SVD of C; x is None when s22, the smallest singular value of
+    V22, is at most EXISTENCE_TOL; null_vector is V[:, n:] times its right
+    singular vector; unique is the gap test at column n.
     """
-    svd = _thin_svd(np.asfortranarray(c))
-    s, v = svd.sigma.array, svd.v.array
-    sub = _thin_svd(v[n:, n:])
-    s22, v22 = sub.sigma.array, sub.v.array
+    _, s, v = factors = _thin_svd(np.asfortranarray(c))
+    u22, s22, v22 = _thin_svd(v[n:, n:])
     x = None
     if s22[-1] > EXISTENCE_TOL:  # dividing before U22^T keeps p = 1 exact
-        x = ((-v[:n, n:] @ v22) / s22) @ sub.u.array.T
+        x = ((-v[:n, n:] @ v22) / s22) @ u22.T
     unique = n == 0 or bool((s[n - 1] - s[n]) > GAP_TOL * max(s[0], 1.0))
-    return svd, x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
+    return factors, x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
 
 
 def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
@@ -76,20 +74,21 @@ def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     if a.rows < n + 1:
         raise DimensionError(
             f"solve_tls_system: need rows > cols, got {a.rows} x {n}")
-    svd, x, null_vector, _, unique = _tls_split(augment(a, b).array, n)
+    factors, x, null_vector, _, unique = _tls_split(augment(a, b).array, n)
+    _, s, v = factors
     if x is None:
         raise NoTlsSolutionError(
             "no TLS solution: the subdominant right singular vector has a "
-            f"vanishing last component ({svd.v.array[n, n]:.3e})",
+            f"vanishing last component ({v[n, n]:.3e})",
             null_vector=Vector(null_vector),
-            sigma=svd.sigma,
+            sigma=Vector(s),
         )
     return TlsSystemSolution(
         coefficients=Vector(-x[:, 0]),
-        nearest_system=truncate_rank(svd, n),
-        sigma=svd.sigma,
+        nearest_system=Matrix(_truncate(*factors, n)),
+        sigma=Vector(s),
         unique=unique,
-        tls_residual=float(svd.sigma.array[n]),
+        tls_residual=float(s[n]),
     )
 
 

@@ -10,12 +10,18 @@ from hypothesis.extra.numpy import arrays
 from tlsfit import (
     DimensionError,
     Matrix,
+    Method,
+    NoTlsSolutionError,
     Vector,
+    augment,
     frobenius_norm,
     householder_qr,
     jacobi_svd,
     multiply,
     pinv_apply,
+    solve_ols,
+    solve_tls_multi,
+    solve_tls_system,
     truncate_rank,
 )
 from oracles import sym_eigen_closed_form
@@ -343,6 +349,44 @@ def test_truncate_out_of_range():
         truncate_rank(svd, 4)
     with pytest.raises(DimensionError):
         truncate_rank(svd, -1)
+
+
+def test_solvers_agree_bitwise_with_public_kernels():
+    """The solvers' thin factors give exactly what the public kernels give:
+    OLS by SVD is pinv_apply of jacobi_svd, and a TLS nearest system is
+    truncate_rank of jacobi_svd.  Every fourth draw has a duplicated
+    column, an exactly zero column of A, or an exactly zero column of B."""
+    rng = np.random.default_rng(23)
+    tls_checked = 0
+    for draw in range(200):
+        n = int(rng.integers(2, 6))
+        p = int(rng.integers(1, 4))
+        m = n + p + int(rng.integers(0, 8))
+        a = rng.standard_normal((m, n))
+        b = rng.standard_normal((m, p))
+        if draw % 4 == 1:
+            a[:, -1] = a[:, 0]
+        elif draw % 4 == 2:
+            a[:, -1] = 0.0
+        elif draw % 4 == 3:
+            b[:, 0] = 0.0
+        svd = jacobi_svd(Matrix(a))
+        sol = solve_ols(Matrix(a), Vector(b[:, 0]), Method.SVD)
+        assert np.array_equal(sol.coefficients.array,
+                              pinv_apply(svd, Vector(b[:, 0])).array)
+        assert np.array_equal(sol.sigma.array, svd.sigma.array)
+        cases = [(solve_tls_system, Vector(b[:, 0]),
+                  augment(Matrix(a), Vector(b[:, 0]))),
+                 (solve_tls_multi, Matrix(b), Matrix(np.hstack([a, b])))]
+        for solver, rhs, c in cases:
+            try:
+                nearest = solver(Matrix(a), rhs).nearest_system
+            except NoTlsSolutionError:
+                continue
+            assert np.array_equal(nearest.array,
+                                  truncate_rank(jacobi_svd(c), n).array)
+            tls_checked += 1
+    assert tls_checked >= 150
 
 
 def test_truncate_beats_random_competitors():

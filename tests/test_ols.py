@@ -1,4 +1,6 @@
 """Ordinary least squares: closed form, normal equations, QR, SVD."""
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tlsfit import (
     Method,
     RankDeficiencyError,
     Vector,
+    householder_qr,
     jacobi_svd,
     mean_1d,
     simple_regression,
@@ -58,6 +61,10 @@ def test_simple_regression_square_corners_horizontal_line():
 def test_simple_regression_degenerate_abscissae():
     with pytest.raises(DegenerateAbscissaError):
         simple_regression(Vector([2.0, 2.0, 2.0]), Vector([1.0, 2.0, 3.0]))
+    # Equal abscissae whose rounded mean differs from them.
+    for m in (3, 7):
+        with pytest.raises(DegenerateAbscissaError):
+            simple_regression(Vector([0.1] * m), Vector(np.arange(m, dtype=float)))
 
 
 def test_simple_regression_length_mismatch():
@@ -186,6 +193,31 @@ def test_solve_ols_svd_carries_singular_values():
     assert np.array_equal(sol.sigma.array, jacobi_svd(Matrix(a)).sigma.array)
     for method in (Method.NORMAL_EQUATIONS, Method.QR):
         assert solve_ols(Matrix(a), y, method).sigma is None
+
+
+@pytest.mark.parametrize("i, j", [(530, 530), (-530, -530), (-565, -565),
+                                  (530, 0)])
+def test_power_of_two_scaling_is_exact(i, j):
+    """Scaling A by 2^i and y by 2^j scales every OLS result exactly, far
+    beyond the range where squared entries overflow or underflow."""
+    rng = np.random.default_rng(50)
+    a = rng.standard_normal((20, 3)) * [1.0, 2.0, 3.0]
+    y = a @ [1.0, 2.0, 3.0] + 0.1 * rng.standard_normal(20)
+    scaled_a, scaled_y = Matrix(np.ldexp(a, i)), Vector(np.ldexp(y, j))
+    for method in (Method.NORMAL_EQUATIONS, Method.QR, Method.SVD):
+        base = solve_ols(Matrix(a), Vector(y), method)
+        sol = solve_ols(scaled_a, scaled_y, method)
+        assert np.array_equal(sol.coefficients.array,
+                              np.ldexp(base.coefficients.array, j - i)), method
+        assert sol.residual_norm == math.ldexp(base.residual_norm, j), method
+    base = simple_regression(Vector(a[:, 1]), Vector(y))
+    sol = simple_regression(Vector(np.ldexp(a[:, 1], i)), scaled_y)
+    assert np.array_equal(sol.coefficients.array,
+                          np.ldexp(base.coefficients.array, [j, j - i]))
+    assert sol.residual_norm == math.ldexp(base.residual_norm, j)
+    qr, scaled_qr = householder_qr(Matrix(a)), householder_qr(scaled_a)
+    assert np.array_equal(scaled_qr.q.array, qr.q.array)
+    assert np.array_equal(scaled_qr.r_upper.array, np.ldexp(qr.r_upper.array, i))
 
 
 def test_solve_ols_input_validation():
