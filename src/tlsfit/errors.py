@@ -15,7 +15,8 @@ class EmptyDataError(FitError, ValueError):
 
 
 class DegenerateAbscissaError(FitError, ValueError):
-    """All abscissae coincide, so no regression line is defined."""
+    """All abscissae coincide, or spread too little for the regression
+    line's coefficients to be representable floats."""
 
 
 class RankDeficiencyError(FitError):

@@ -287,19 +287,45 @@ def householder_qr(a: Matrix) -> QrResult:
 # One-sided Jacobi SVD
 
 
+# Columns this far below the working scale (the caller normalizes the
+# largest entry to [0.5, 1)) carry singular values < 1e-100 relative;
+# flushing them to exact zero prevents an underflow livelock where a
+# squared norm rounds to 0 while mixed products do not.
+_FLUSH2 = 1e-200
+# _jacobi_sweeps rotates a whole round of disjoint pairs at once when the
+# input has at least _ROUND_MIN_COLS columns and at most _ROUND_MAX_ROWS
+# rows.  At 8 columns a round costs about what the per-pair loop spends on
+# its pairs; from 12 on the rounds won at every height measured up to 5000
+# rows.  Taller, the loop's two columns stay in cache while each round
+# streams the whole matrix through memory, and the loop wins.
+_ROUND_MIN_COLS = 12
+_ROUND_MAX_ROWS = 5000
+
+
 def _jacobi_sweeps(w: np.ndarray, v: np.ndarray):
-    """Cyclic one-sided Jacobi orthogonalization of the columns of ``w``.
+    """One-sided Jacobi orthogonalization of the columns of ``w``.
 
     Rotates column pairs of ``w`` (and accumulates the same rotations in
     ``v``) until every pair satisfies the relative orthogonality criterion.
-    Mutates both arguments in place.
+    Mutates both arguments in place.  Wide inputs sweep in round-robin
+    order, narrow or very tall ones pair by pair; both apply the same
+    rotation rule.
     """
+    m, n = w.shape
+    if n >= _ROUND_MIN_COLS and m <= _ROUND_MAX_ROWS:
+        _jacobi_rounds(w, v)
+    else:
+        _jacobi_pairs(w, v)
+
+
+def _not_converged():
+    return ConvergenceError(
+        f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+
+
+def _jacobi_pairs(w: np.ndarray, v: np.ndarray):
+    """Cyclic sweeps: the pairs (i, j), i < j, one at a time in row order."""
     n = w.shape[1]
-    # Columns this far below the working scale (the caller normalizes the
-    # largest entry to [0.5, 1)) carry singular values < 1e-100 relative;
-    # flushing them to exact zero prevents an underflow livelock where a
-    # squared norm rounds to 0 while mixed products do not.
-    flush2 = 1e-200
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for i in range(n - 1):
@@ -308,10 +334,10 @@ def _jacobi_sweeps(w: np.ndarray, v: np.ndarray):
                 wj = w[:, j]
                 alpha = float(wi @ wi)
                 beta = float(wj @ wj)
-                if alpha <= flush2:
+                if alpha <= _FLUSH2:
                     w[:, i] = 0.0
                     alpha = 0.0
-                if beta <= flush2:
+                if beta <= _FLUSH2:
                     w[:, j] = 0.0
                     beta = 0.0
                 gamma = float(wi @ wj)
@@ -336,8 +362,88 @@ def _jacobi_sweeps(w: np.ndarray, v: np.ndarray):
                 v[:, j] = s * vi + c * v[:, j]
         if not rotated:
             return
-    raise ConvergenceError(
-        f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    raise _not_converged()
+
+
+def _round_robin_shift(src: np.ndarray, dst: np.ndarray):
+    """Write the rows of ``src`` into ``dst`` in the next round's order.
+
+    Rows 2k and 2k+1 hold the seats k and n-1-k of a round-robin table of
+    n seats.  Seat 0 stays and the others move on by one, so the pair
+    rows (2k, 2k+1) of the next round hold different columns; after n-1
+    shifts every column has met every other once and the rows are back
+    in their first order.
+    """
+    h = src.shape[0] // 2
+    s = src.reshape(h, 2, -1)
+    d = dst.reshape(h, 2, -1)
+    d[0, 0] = s[0, 0]
+    d[1, 0] = s[0, 1]
+    d[2:, 0] = s[1:h - 1, 0]
+    d[:h - 1, 1] = s[1:, 1]
+    d[h - 1, 1] = s[h - 1, 0]
+
+
+def _jacobi_rounds(w: np.ndarray, v: np.ndarray):
+    """Round-robin sweeps (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1),
+    1985): n-1 rounds of n/2 disjoint pairs, each round in a few numpy calls.
+
+    The columns of ``w`` and ``v`` are held as the rows of working copies,
+    with a zero row appended for odd n, such that rows 2k and 2k+1 are
+    pair k of the round.  Disjoint pairs commute, so a round is the same
+    as rotating its pairs one by one; a pair below the criterion gets
+    t = 0, the identity.  Needs n >= 3.
+    """
+    m, n = w.shape
+    seats = n + n % 2
+    h = seats // 2
+    # Column held by each row in the first round of every sweep.
+    order = np.array([c for k in range(h) for c in (k, seats - 1 - k)])
+    real = order < n
+    wt, wnext = np.zeros((seats, m)), np.empty((seats, m))
+    vt, vnext = np.zeros((seats, v.shape[0])), np.empty((seats, v.shape[0]))
+    wt[real] = w.T[order[real]]
+    vt[real] = v.T[order[real]]
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for _ in range(seats - 1):
+            pairs = wt.reshape(h, 2, m)
+            left, right = pairs[:, 0], pairs[:, 1]
+            alpha = np.einsum("ij,ij->i", left, left)
+            beta = np.einsum("ij,ij->i", right, right)
+            gamma = np.einsum("ij,ij->i", left, right)
+            flush_left, flush_right = alpha <= _FLUSH2, beta <= _FLUSH2
+            if flush_left.any() or flush_right.any():
+                # A flushed column has gamma 0, which leaves its pair as is.
+                left[flush_left] = 0.0
+                right[flush_right] = 0.0
+                gamma[flush_left | flush_right] = 0.0
+            active = np.abs(gamma) > (JACOBI_OFFDIAG_TOL * np.sqrt(alpha)
+                                      * np.sqrt(beta))
+            if active.any():
+                rotated = True
+                zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros(h),
+                                 where=active)
+                huge = np.abs(zeta) > 1e150  # zeta**2 would overflow
+                z = np.where(huge, 0.0, zeta)
+                t = np.copysign(1.0, z) / (np.abs(z) + np.sqrt(1.0 + z * z))
+                t[huge] = 0.5 / zeta[huge]
+                t[~active] = 0.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                rot = np.stack([c, -s, s, c], axis=1).reshape(h, 2, 2)
+                np.matmul(rot, pairs, out=wnext.reshape(h, 2, m))
+                np.matmul(rot, vt.reshape(h, 2, -1),
+                          out=vnext.reshape(h, 2, -1))
+                wt, wnext, vt, vnext = wnext, wt, vnext, vt
+            _round_robin_shift(wt, wnext)
+            _round_robin_shift(vt, vnext)
+            wt, wnext, vt, vnext = wnext, wt, vnext, vt
+        if not rotated:
+            w.T[order[real]] = wt[real]
+            v.T[order[real]] = vt[real]
+            return
+    raise _not_converged()
 
 
 def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:

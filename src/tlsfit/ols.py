@@ -61,7 +61,8 @@ def simple_regression(x: Vector, y: Vector) -> OlsSolution:
     b = sum (xbar - x_i)(ybar - y_i) / sum (xbar - x_i)^2 and
     a = ybar - b xbar, so the fitted line passes through the centroid.
     x and y are each scaled by an exact power of two first, so scaling
-    either by 2^k scales the result exactly.
+    either by 2^k scales the result exactly.  DegenerateAbscissaError
+    means all abscissae are equal, or a or b is beyond the float range.
     """
     if x.len != y.len:
         raise DimensionError(
@@ -77,9 +78,15 @@ def simple_regression(x: Vector, y: Vector) -> OlsSolution:
     dx = xbar - xs
     b = float(dx @ (ybar - ys)) / float(dx @ dx)
     a = ybar - b * xbar
+    exponents = (ey, ey - ex)
+    # frexp exponent above 1024: the coefficient exceeds the float range.
+    if any(math.frexp(c)[1] + e > 1024 for c, e in zip((a, b), exponents)):
+        raise DegenerateAbscissaError(
+            "simple_regression: abscissa spread too small for a line "
+            "with representable coefficients")
     residual = ys - a - b * xs
     return OlsSolution(
-        coefficients=Vector(np.ldexp([a, b], [ey, ey - ex])),
+        coefficients=Vector(np.ldexp([a, b], exponents)),
         residual_norm=float(np.ldexp(_norm(residual), ey)),
         method=Method.CLOSED_FORM,
         rank_deficient=False,
@@ -99,7 +106,8 @@ def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     A and y are first divided by exact powers of two, which keeps the Gram
     matrix finite and nonzero.  A pivot at or below CHOLESKY_PD_TOL times
     the largest initial diagonal entry means the Gram matrix is not
-    numerically positive definite; the error reports it in A's units.
+    numerically positive definite; the error reports that ratio, which
+    does not depend on A's scale, with its threshold.
     """
     ea, ey = _binary_exponent(a), _binary_exponent(y)
     a, y = np.ldexp(a, -ea), np.ldexp(y, -ey)
@@ -112,11 +120,10 @@ def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     for j in range(n):
         d = gram[j, j] - low[j, :j] @ low[j, :j]
         if d <= CHOLESKY_PD_TOL * scale:
-            with np.errstate(over="ignore"):
-                pivot = np.ldexp(d, 2 * ea)
             raise RankDeficiencyError(
                 "normal equations: Gram matrix not positive definite "
-                f"(pivot {pivot:.3e} at column {j})")
+                f"(pivot / largest diagonal entry = {d / scale:.3e} "
+                f"<= {CHOLESKY_PD_TOL:g} at column {j})")
         low[j, j] = math.sqrt(d)
         low[j + 1:, j] = (gram[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     # Forward then back substitution.

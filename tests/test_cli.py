@@ -216,6 +216,20 @@ def test_memory_error_is_a_typed_report(tmp_path, monkeypatch, capsys):
     assert captured.err == "fit: memory_error: out of memory\n"
 
 
+@pytest.mark.parametrize("shape", [(60, 30), (20, 4)])
+def test_convergence_error_is_a_typed_report(tmp_path, monkeypatch, capsys,
+                                            shape):
+    monkeypatch.setattr("tlsfit.linalg.JACOBI_MAX_SWEEPS", 1)
+    points = np.random.default_rng(71).standard_normal(shape)
+    path = write(tmp_path, "cloud.csv", "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in points))
+    assert main(["tls-plane", "--input", path]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["kind"] == "convergence_error"
+    assert captured.err.startswith("fit: convergence_error: one-sided Jacobi")
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # rendering and entry point
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tlsfit import (
+    ConvergenceError,
     DimensionError,
     Matrix,
     Method,
@@ -24,6 +25,10 @@ from tlsfit import (
     solve_tls_system,
     truncate_rank,
 )
+from tlsfit import linalg
+from tlsfit.linalg import (_ROUND_MIN_COLS, _jacobi_pairs, _jacobi_rounds,
+                           _thin_svd)
+from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
 from oracles import sym_eigen_closed_form
 
 SQUARE_CORNERS = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
@@ -283,6 +288,86 @@ def test_svd_deterministic():
                          elements=st.floats(-1e6, 1e6, allow_nan=False)))))
 def test_svd_invariants_hypothesis(a):
     assert_svd_invariants(a, jacobi_svd(Matrix(a)))
+
+
+@st.composite
+def lapack_cases(draw):
+    """Tall m x n Gaussian matrices with column scales over one decade, n
+    on both sides of the round-robin cutoff; a quarter each with a zero
+    column, a duplicated column, or a column whose squared norm the
+    sweeps flush to zero."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(n, 3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0, n)
+    kind = draw(st.sampled_from(["plain", "zero column", "duplicated column",
+                                 "tiny column"]))
+    i, j = rng.choice(n, 2, replace=False) if n > 1 else (0, 0)
+    if kind == "zero column":
+        a[:, i] = 0.0
+    elif kind == "duplicated column":
+        a[:, j] = a[:, i]
+    elif kind == "tiny column":
+        a[:, i] *= 1e-170
+    return a
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=lapack_cases())
+def test_svd_matches_lapack(a):
+    """LAPACK differential: sigma within 1e-13 sigma_1 of np.linalg.svd,
+    and each right singular vector equal up to sign where both of its
+    neighbouring gaps exceed 1e-6 sigma_1."""
+    _, s_ref, vt_ref = np.linalg.svd(a)
+    gaps = np.abs(np.diff(s_ref, prepend=np.inf, append=np.inf))
+    isolated = np.minimum(gaps[:-1], gaps[1:]) > 1e-6 * s_ref[0]
+    svd = jacobi_svd(Matrix(a))
+    for s, v in ((svd.sigma.array, svd.v.array), _thin_svd(a)[1:]):
+        assert np.all(np.abs(s - s_ref) <= 1e-13 * s_ref[0])
+        for k in np.flatnonzero(isolated):
+            assert min(np.linalg.norm(v[:, k] - vt_ref[k]),
+                       np.linalg.norm(v[:, k] + vt_ref[k])) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [_ROUND_MIN_COLS - 2, _ROUND_MIN_COLS - 1,
+                               _ROUND_MIN_COLS, _ROUND_MIN_COLS + 1,
+                               _ROUND_MIN_COLS + 4])
+def test_round_robin_sweeps_match_per_pair_loop(n):
+    """On the same matrices, the per-pair loop and the batched rounds both
+    leave every column pair within JACOBI_OFFDIAG_TOL, accumulate their
+    rotations in V, and agree on sigma to 1e-14 relative.
+
+    A pair's inner product is known only up to the rounding bound of a
+    computed dot product, m u sum_k |w_ki w_kj|; the check allows that
+    twice, once for the sweep's decision and once for its own product."""
+    rng = np.random.default_rng(60 + n)
+    unit_roundoff = np.finfo(float).eps / 2
+    for _ in range(4):
+        m = int(rng.integers(n, 3 * n + 1))
+        a = rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0, n)
+        sigmas = []
+        for sweeps in (_jacobi_pairs, _jacobi_rounds):
+            w, v = np.array(a, order="F"), np.eye(n)
+            sweeps(w, v)
+            norms = np.linalg.norm(w, axis=0)
+            bound = (JACOBI_OFFDIAG_TOL * np.outer(norms, norms)
+                     + 2 * m * unit_roundoff * (np.abs(w).T @ np.abs(w)))
+            off = ~np.eye(n, dtype=bool)
+            assert np.all(np.abs(w.T @ w)[off] <= bound[off])
+            assert np.linalg.norm(a @ v - w) <= 1e-13 * np.linalg.norm(a)
+            sigmas.append(np.sort(norms)[::-1])
+        np.testing.assert_allclose(sigmas[1], sigmas[0], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(60, 30), (20, 4)])
+def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
+    """One sweep cannot confirm a Gaussian matrix, on either path: 60 x 30
+    sweeps in rounds and 20 x 4 pair by pair."""
+    assert (shape[1] >= _ROUND_MIN_COLS) == (shape == (60, 30))
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    a = np.random.default_rng(70).standard_normal(shape)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 sweeps"):
+        jacobi_svd(Matrix(a))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,11 @@ def test_simple_regression_degenerate_abscissae():
     for m in (3, 7):
         with pytest.raises(DegenerateAbscissaError):
             simple_regression(Vector([0.1] * m), Vector(np.arange(m, dtype=float)))
+    # Distinct abscissae whose spread is too small for a slope (about
+    # 1e600) in the float range.
+    with pytest.raises(DegenerateAbscissaError, match="representable"):
+        simple_regression(Vector([1e-300, 2e-300, 4e-300]),
+                          Vector([1e300, 2e300, 3e300]))
 
 
 def test_simple_regression_length_mismatch():
@@ -218,6 +223,21 @@ def test_power_of_two_scaling_is_exact(i, j):
     qr, scaled_qr = householder_qr(Matrix(a)), householder_qr(scaled_a)
     assert np.array_equal(scaled_qr.q.array, qr.q.array)
     assert np.array_equal(scaled_qr.r_upper.array, np.ldexp(qr.r_upper.array, i))
+
+
+def test_cholesky_pivot_report_is_scale_free():
+    """The rank-deficiency message gives the failing pivot relative to the
+    largest diagonal entry, next to its threshold, at any scale of A."""
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -26], [1.0, 1.0]])
+    messages = set()
+    for k in (0, 600, -600):
+        with pytest.raises(RankDeficiencyError) as info:
+            solve_ols(Matrix(np.ldexp(a, k)), Vector(np.ones(3)),
+                      Method.NORMAL_EQUATIONS)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    (message,) = messages
+    assert "<= 1e-12 at column 1" in message
 
 
 def test_solve_ols_input_validation():
