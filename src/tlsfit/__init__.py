@@ -43,7 +43,6 @@ from .linalg import (
     frobenius_norm,
     householder_qr,
     jacobi_svd,
-    matvec,
     multiply,
     pinv_apply,
     truncate_rank,
@@ -79,7 +78,6 @@ __all__ = [
     "frobenius_norm",
     "householder_qr",
     "jacobi_svd",
-    "matvec",
     "multiply",
     "pinv_apply",
     "truncate_rank",

@@ -5,6 +5,14 @@ vector containers (column-major storage), Householder QR, a one-sided
 Jacobi SVD, minimum-norm pseudo-inverse application and Frobenius-optimal
 rank truncation.
 
+There is one QR: ``_householder_qr_arrays`` keeps its reflectors in
+compact WY form Q = I - Y T Y^T, so applying Q or Q^T to a block is three
+matrix products.  The SVD of a tall input (at least _QR_MIN_COLS columns
+and _QR_MIN_RATIO times as many rows) factors it by that QR first and
+sweeps only the n x n R; U = Q U_R comes back through the same WY form.
+The sweeps rotate a round of disjoint pairs at once from _ROUND_MIN_COLS
+columns on, and one pair at a time below.
+
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
 (``_thin_svd``, ``_rank``, ``_pinv``, ``_truncate``) work on ndarrays, so
@@ -30,7 +38,6 @@ __all__ = [
     "QrResult",
     "SvdResult",
     "multiply",
-    "matvec",
     "frobenius_norm",
     "householder_qr",
     "jacobi_svd",
@@ -75,12 +82,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(np.eye(n))
 
-    @classmethod
-    def from_columns(cls, columns) -> "Matrix":
-        """Build a matrix from an iterable of equal-length columns."""
-        cols = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
-        return cls(np.column_stack(cols) if cols else np.zeros((0, 0)))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -102,12 +103,6 @@ class Matrix:
     def data(self) -> np.ndarray:
         """Entries as a flat read-only array in column-major order."""
         return self._a.reshape(-1, order="F")
-
-    def column(self, j: int) -> "Vector":
-        return Vector(self._a[:, j])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self._a.T)
 
     def __getitem__(self, idx):
         return float(self._a[idx])
@@ -221,14 +216,6 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.array @ b.array)
 
 
-def matvec(a: Matrix, x: Vector) -> Vector:
-    """Matrix-vector product a @ x."""
-    if a.cols != x.len:
-        raise DimensionError(
-            f"matvec: inner dimensions differ ({a.cols} vs {x.len})")
-    return Vector(a.array @ x.array)
-
-
 def frobenius_norm(a: Matrix) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(a.array, "fro"))
@@ -238,40 +225,60 @@ def frobenius_norm(a: Matrix) -> float:
 # Householder QR
 
 
-def _householder_qr_arrays(a: np.ndarray, block: np.ndarray):
+# Columns this far below the working scale (the largest entry normalized
+# to [0.5, 1)) carry singular values < 1e-100 relative.  The sweeps flush
+# them to exact zero, which prevents an underflow livelock where a squared
+# norm rounds to 0 while mixed products do not; the QR leaves their
+# reflector out, whose 2 / |v|^2 would overflow.
+_FLUSH2 = 1e-200
+
+
+def _householder_qr_arrays(a: np.ndarray):
     """QR of an m x n array (m >= n) by Householder reflections.
 
-    Returns (r, Q^T block) with r m x n upper triangular with nonnegative
-    diagonal.  Q is never formed; the reflectors are applied to the 2-d
-    m-row ``block`` instead, so a block I_m yields Q^T.  The work runs on
-    A scaled by an exact power of two, so R scales exactly with A and the
-    reflectors do not depend on its scale.
+    Returns (r, y, t): r is the n x n upper-triangular factor, and the
+    reflectors are kept in compact WY form Q = I - Y T Y^T with
+    Y m x n lower trapezoidal and T n x n upper triangular (Schreiber &
+    Van Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989), so Q is never
+    formed and ``_reflect`` applies it or Q^T to a block in three matrix
+    products.  Column j meets the first j reflectors as one such product
+    (left-looking), then yields reflector j, v = x + sign(x_1) |x| e_1,
+    which makes R_jj = -sign(x_1) |x|; ``householder_qr`` turns the
+    diagonal nonnegative.  The work runs on A scaled by an exact power of
+    two, so R scales exactly with A and Y and T do not depend on its scale.
     """
     m, n = a.shape
     exponent = _binary_exponent(a)
-    r = np.ldexp(a, -exponent, order="C")
-    qt_block = np.array(block, dtype=float, order="F")
+    cols = np.ldexp(a.T, -exponent, order="C")  # column j of A is row j
+    yt = np.zeros((n, m))  # row j is reflector j, zero before entry j
+    t = np.zeros((n, n))
+    r = np.zeros((n, n), order="F")
     for j in range(n):
-        x = r[j:, j]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
+        x = cols[j]
+        if j:
+            x = x - yt[:j].T @ (t[:j, :j].T @ (yt[:j] @ x))
+        r[:j + 1, j] = x[:j + 1]
+        tail = x[j + 1:]
+        x0, sigma = float(x[j]), float(tail @ tail)
+        mu = math.sqrt(x0 * x0 + sigma)
+        if x0 < 0.0:
+            mu = -mu
+        vnorm2 = (x0 + mu) ** 2 + sigma
+        if vnorm2 <= _FLUSH2:  # a column this small is left as it is
             continue
-        v = x.copy()
-        v[0] += norm_x if x[0] >= 0.0 else -norm_x
-        vnorm2 = v @ v
-        if vnorm2 == 0.0:
-            continue
-        w = 2.0 / vnorm2
-        # r[j:, j:] -= w * outer(v, v @ r[j:, j:]); the same on the block.
-        r[j:, j:] -= np.outer(w * v, v @ r[j:, j:])
-        qt_block[j:] -= np.outer(v, (w * v) @ qt_block[j:])
-    r = np.triu(r)
-    # Sign convention: nonnegative diagonal of R.
-    for j in range(min(m, n)):
-        if r[j, j] < 0.0:
-            r[j, j:] = -r[j, j:]
-            qt_block[j] = -qt_block[j]
-    return np.ldexp(r, exponent), qt_block
+        r[j, j] = -mu
+        tau = 2.0 / vnorm2
+        yt[j, j] = x0 + mu
+        yt[j, j + 1:] = tail
+        t[:j, j] = -tau * (t[:j, :j] @ (yt[:j, j:] @ yt[j, j:]))
+        t[j, j] = tau
+    return np.ldexp(r, exponent), yt.T, t
+
+
+def _reflect(y: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(I - Y T Y^T) block: Q block, or Q^T block for T^T."""
+    out = y @ (t @ (y.T @ block))
+    return np.subtract(block, out, out=out)
 
 
 def householder_qr(a: Matrix) -> QrResult:
@@ -279,52 +286,70 @@ def householder_qr(a: Matrix) -> QrResult:
     if a.rows < a.cols:
         raise DimensionError(
             f"householder_qr: need rows >= cols, got {a.rows} x {a.cols}")
-    r, qt = _householder_qr_arrays(a.array, np.eye(a.rows))
-    return QrResult(q=Matrix(qt.T), r_upper=Matrix(r))
+    m, n = a.shape
+    r, y, t = _householder_qr_arrays(a.array)
+    q = _reflect(y, t, np.eye(m))
+    # Sign convention: nonnegative diagonal of R.
+    flip = np.flatnonzero(r.diagonal() < 0.0)
+    r[flip] = -r[flip]
+    q[:, flip] = -q[:, flip]
+    return QrResult(q=Matrix(q),
+                    r_upper=Matrix(np.vstack([r, np.zeros((m - n, n))])))
 
 
 # ---------------------------------------------------------------------------
 # One-sided Jacobi SVD
 
 
-# Columns this far below the working scale (the caller normalizes the
-# largest entry to [0.5, 1)) carry singular values < 1e-100 relative;
-# flushing them to exact zero prevents an underflow livelock where a
-# squared norm rounds to 0 while mixed products do not.
-_FLUSH2 = 1e-200
-# _jacobi_sweeps rotates a whole round of disjoint pairs at once when the
-# input has at least _ROUND_MIN_COLS columns and at most _ROUND_MAX_ROWS
-# rows.  At 8 columns a round costs about what the per-pair loop spends on
-# its pairs; from 12 on the rounds won at every height measured up to 5000
-# rows.  Taller, the loop's two columns stay in cache while each round
-# streams the whole matrix through memory, and the loop wins.
-_ROUND_MIN_COLS = 12
-_ROUND_MAX_ROWS = 5000
+# _thin_svd factors inputs with at least _QR_MIN_COLS columns and
+# _QR_MIN_RATIO times as many rows by QR first and sweeps only the n x n R
+# (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).  Alternating
+# runs of both paths on the same Gaussian matrices (9 per shape, median
+# time ratio of sweeps on A over the QR path, one BLAS thread): the QR,
+# its row sort and U = Q U_R cost more than they save at n = 3 for every
+# m up to 4096 (0.60-0.71x) and at n = 4 up to m = 2048 (0.80-0.95x);
+# from n = 5 they pay from m = 512-768 (n = 5: 0.95x at m = 384, 1.01x
+# at 512, 1.34x at 4096; n = 8: 0.96x at 512, 1.00x at 768; n = 10:
+# 1.13x at 768, 1.62x at 4096).  Wider inputs win sooner (n = 32: 1.05x
+# at m = 128, 1.84x at 1024), which m >= 96 n leaves to the sweeps on A.
+_QR_MIN_COLS = 5
+_QR_MIN_RATIO = 96
+# _jacobi_sweeps rotates a whole round of disjoint pairs at once on inputs
+# with at least _ROUND_MIN_COLS columns, and pair by pair below that.
+# Alternating runs, per-pair time over round time, on R and on A from 2n
+# to 200n rows: n = 5 0.65-0.70x, n = 6 1.05-1.22x, n = 7 0.87-1.01x
+# (odd n sweeps a padding column), n = 8 1.34-1.59x, n = 10 1.47-1.81x.
+_ROUND_MIN_COLS = 8
 
 
-def _jacobi_sweeps(w: np.ndarray, v: np.ndarray):
+def _jacobi_sweeps(w: np.ndarray, v: np.ndarray, on: str):
     """One-sided Jacobi orthogonalization of the columns of ``w``.
 
     Rotates column pairs of ``w`` (and accumulates the same rotations in
     ``v``) until every pair satisfies the relative orthogonality criterion.
     Mutates both arguments in place.  Wide inputs sweep in round-robin
-    order, narrow or very tall ones pair by pair; both apply the same
-    rotation rule.
+    order, narrow ones pair by pair; both apply the same rotation rule.
+    ``on`` names the swept matrix ("A" or its "R") in a ConvergenceError,
+    which also reports the largest off-diagonal ratio left in ``w``.
     """
-    m, n = w.shape
-    if n >= _ROUND_MIN_COLS and m <= _ROUND_MAX_ROWS:
-        _jacobi_rounds(w, v)
-    else:
-        _jacobi_pairs(w, v)
+    path = "rounds" if w.shape[1] >= _ROUND_MIN_COLS else "pairs"
+    if (_jacobi_rounds if path == "rounds" else _jacobi_pairs)(w, v):
+        return
+    gram = w.T @ w
+    live = gram.diagonal() > _FLUSH2
+    norms = np.sqrt(gram.diagonal()[live])
+    ratio = np.abs(gram[np.ix_(live, live)]) / np.outer(norms, norms)
+    np.fill_diagonal(ratio, 0.0)
+    raise ConvergenceError(
+        f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
+        f"sweeps ({path} on {on}; largest off-diagonal ratio "
+        f"{ratio.max(initial=0.0):.3e} vs JACOBI_OFFDIAG_TOL "
+        f"{JACOBI_OFFDIAG_TOL:g})")
 
 
-def _not_converged():
-    return ConvergenceError(
-        f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-
-
-def _jacobi_pairs(w: np.ndarray, v: np.ndarray):
-    """Cyclic sweeps: the pairs (i, j), i < j, one at a time in row order."""
+def _jacobi_pairs(w: np.ndarray, v: np.ndarray) -> bool:
+    """Cyclic sweeps: the pairs (i, j), i < j, one at a time in row order.
+    Returns whether a sweep within the budget confirmed every pair."""
     n = w.shape[1]
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
@@ -361,12 +386,13 @@ def _jacobi_pairs(w: np.ndarray, v: np.ndarray):
                 v[:, i] = c * vi - s * v[:, j]
                 v[:, j] = s * vi + c * v[:, j]
         if not rotated:
-            return
-    raise _not_converged()
+            return True
+    return False
 
 
-def _round_robin_shift(src: np.ndarray, dst: np.ndarray):
-    """Write the rows of ``src`` into ``dst`` in the next round's order.
+def _round_robin_shift(seats: int) -> np.ndarray:
+    """Row permutation from one round to the next: row i of the next round
+    is row ``shift[i]`` of this one.
 
     Rows 2k and 2k+1 hold the seats k and n-1-k of a round-robin table of
     n seats.  Seat 0 stays and the others move on by one, so the pair
@@ -374,25 +400,28 @@ def _round_robin_shift(src: np.ndarray, dst: np.ndarray):
     shifts every column has met every other once and the rows are back
     in their first order.
     """
-    h = src.shape[0] // 2
-    s = src.reshape(h, 2, -1)
-    d = dst.reshape(h, 2, -1)
+    h = seats // 2
+    s = np.arange(seats).reshape(h, 2)
+    d = np.empty_like(s)
     d[0, 0] = s[0, 0]
     d[1, 0] = s[0, 1]
     d[2:, 0] = s[1:h - 1, 0]
     d[:h - 1, 1] = s[1:, 1]
     d[h - 1, 1] = s[h - 1, 0]
+    return d.reshape(-1)
 
 
-def _jacobi_rounds(w: np.ndarray, v: np.ndarray):
+def _jacobi_rounds(w: np.ndarray, v: np.ndarray) -> bool:
     """Round-robin sweeps (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1),
     1985): n-1 rounds of n/2 disjoint pairs, each round in a few numpy calls.
+    Returns whether a sweep within the budget confirmed every pair.
 
-    The columns of ``w`` and ``v`` are held as the rows of working copies,
-    with a zero row appended for odd n, such that rows 2k and 2k+1 are
-    pair k of the round.  Disjoint pairs commute, so a round is the same
-    as rotating its pairs one by one; a pair below the criterion gets
-    t = 0, the identity.  Needs n >= 3.
+    Column k of ``w`` and of ``v`` are held side by side as one row of a
+    working array, with a zero row appended for odd n, such that rows 2k
+    and 2k+1 are pair k of the round; one matrix product rotates both.
+    Disjoint pairs commute, so a round is the same as rotating its pairs
+    one by one; a pair below the criterion gets t = 0, the identity.
+    Needs n >= 3.
     """
     m, n = w.shape
     seats = n + n % 2
@@ -400,23 +429,24 @@ def _jacobi_rounds(w: np.ndarray, v: np.ndarray):
     # Column held by each row in the first round of every sweep.
     order = np.array([c for k in range(h) for c in (k, seats - 1 - k)])
     real = order < n
-    wt, wnext = np.zeros((seats, m)), np.empty((seats, m))
-    vt, vnext = np.zeros((seats, v.shape[0])), np.empty((seats, v.shape[0]))
-    wt[real] = w.T[order[real]]
-    vt[real] = v.T[order[real]]
+    shift = _round_robin_shift(seats)
+    rows, spare = np.zeros((seats, m + n)), np.empty((seats, m + n))
+    rows[real, :m] = w.T[order[real]]
+    rows[real, m:] = v.T[order[real]]
+    rot = np.empty((h, 2, 2))
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for _ in range(seats - 1):
-            pairs = wt.reshape(h, 2, m)
-            left, right = pairs[:, 0], pairs[:, 1]
-            alpha = np.einsum("ij,ij->i", left, left)
-            beta = np.einsum("ij,ij->i", right, right)
-            gamma = np.einsum("ij,ij->i", left, right)
-            flush_left, flush_right = alpha <= _FLUSH2, beta <= _FLUSH2
-            if flush_left.any() or flush_right.any():
+            pairs = rows.reshape(h, 2, m + n)
+            w_pairs = pairs[:, :, :m]
+            squares = np.einsum("hkm,hkm->hk", w_pairs, w_pairs)
+            alpha, beta = squares[:, 0], squares[:, 1]
+            gamma = np.einsum("ij,ij->i", w_pairs[:, 0], w_pairs[:, 1])
+            if squares.min() <= _FLUSH2:
                 # A flushed column has gamma 0, which leaves its pair as is.
-                left[flush_left] = 0.0
-                right[flush_right] = 0.0
+                flush_left, flush_right = alpha <= _FLUSH2, beta <= _FLUSH2
+                pairs[flush_left, 0, :m] = 0.0
+                pairs[flush_right, 1, :m] = 0.0
                 gamma[flush_left | flush_right] = 0.0
             active = np.abs(gamma) > (JACOBI_OFFDIAG_TOL * np.sqrt(alpha)
                                       * np.sqrt(beta))
@@ -427,23 +457,24 @@ def _jacobi_rounds(w: np.ndarray, v: np.ndarray):
                 huge = np.abs(zeta) > 1e150  # zeta**2 would overflow
                 z = np.where(huge, 0.0, zeta)
                 t = np.copysign(1.0, z) / (np.abs(z) + np.sqrt(1.0 + z * z))
-                t[huge] = 0.5 / zeta[huge]
-                t[~active] = 0.0
+                np.divide(0.5, zeta, out=t, where=huge)
+                t = np.where(active, t, 0.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = c * t
-                rot = np.stack([c, -s, s, c], axis=1).reshape(h, 2, 2)
-                np.matmul(rot, pairs, out=wnext.reshape(h, 2, m))
-                np.matmul(rot, vt.reshape(h, 2, -1),
-                          out=vnext.reshape(h, 2, -1))
-                wt, wnext, vt, vnext = wnext, wt, vnext, vt
-            _round_robin_shift(wt, wnext)
-            _round_robin_shift(vt, vnext)
-            wt, wnext, vt, vnext = wnext, wt, vnext, vt
+                rot[:, 0, 0] = rot[:, 1, 1] = c
+                rot[:, 1, 0] = s
+                np.negative(s, out=rot[:, 0, 1])
+                np.matmul(rot, pairs, out=spare.reshape(h, 2, m + n))
+                rows, spare = spare, rows
+            # mode="clip" spares the buffered copy that "raise" makes for
+            # ``out``; every index of ``shift`` is in range.
+            np.take(rows, shift, axis=0, out=spare, mode="clip")
+            rows, spare = spare, rows
         if not rotated:
-            w.T[order[real]] = wt[real]
-            v.T[order[real]] = vt[real]
-            return
-    raise _not_converged()
+            break
+    w.T[order[real]] = rows[real, :m]
+    v.T[order[real]] = rows[real, m:]
+    return not rotated
 
 
 def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:
@@ -453,8 +484,8 @@ def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:
     reproduces the block itself (up to roundoff) in its leading columns;
     those are replaced by the exact input columns.
     """
-    _, qt = _householder_qr_arrays(u_cols, np.eye(m))
-    full = qt.T
+    _, y, t = _householder_qr_arrays(u_cols)
+    full = _reflect(y, t, np.eye(m))
     full[:, :u_cols.shape[1]] = u_cols
     return full
 
@@ -462,13 +493,14 @@ def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:
 def _apply_sign_rule(v: np.ndarray, u: np.ndarray) -> None:
     """In place: make the largest-magnitude entry (lowest index on ties) of
     each column of ``v`` nonnegative, negating the paired ``u`` column."""
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0.0:
-            v[:, j] = -col
-            if j < u.shape[1]:
-                u[:, j] = -u[:, j]
+    if not v.size:
+        return
+    pivot = np.abs(v).argmax(axis=0)
+    flip = v.T[np.arange(v.shape[1]), pivot] < 0.0
+    if flip.any():
+        v[:, flip] = -v[:, flip]
+        paired = flip[:u.shape[1]]
+        u[:, paired] = -u[:, paired]
 
 
 def _thin_svd(a: np.ndarray):
@@ -477,23 +509,34 @@ def _thin_svd(a: np.ndarray):
     u is m x n, with zero columns for exactly zero singular values; signs
     follow ``jacobi_svd``.  The solvers call this and never form an m x m U.
     u and v are column-major like ``Matrix`` storage, so products with them
-    round as products with the public factors do.
+    round as products with the public factors do.  An input with at least
+    _QR_MIN_COLS columns and _QR_MIN_RATIO times as many rows is first
+    factored, rows sorted, as QR; the sweeps then run on the n x n R and
+    U = Q U_R comes back through the reflectors.
     """
     m, n = a.shape
     # Scaling keeps squared column norms away from overflow and underflow.
     exponent = _binary_exponent(a)
-    w = np.ldexp(a, -exponent)
-    v = np.eye(n)
-    _jacobi_sweeps(w, v)
+    on_r = n >= _QR_MIN_COLS and m >= _QR_MIN_RATIO * n
+    if on_r:
+        # Rows in decreasing max-norm order keep the QR accurate on rows of
+        # very different scales (Cox & Higham, BIT 38(1), 1998).
+        rows = np.argsort(-np.abs(a).max(axis=1))
+        w, y, t = _householder_qr_arrays(np.ldexp(a[rows], -exponent))
+    else:
+        w = np.ldexp(a, -exponent)
+    v = np.eye(n, order="F")
+    _jacobi_sweeps(w, v, "R" if on_r else "A")
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     order = np.argsort(-norms, kind="stable")
     scaled = norms[order]
     v = np.asfortranarray(v[:, order])
     u = np.zeros((m, n), order="F")
-    for k in range(n):
-        if scaled[k] > 0.0:
-            u[:, k] = w[:, order[k]] / scaled[k]
-    _apply_sign_rule(v, u)
+    top = u[:w.shape[0]]  # all of U, or U_R on top of zeros
+    np.divide(w[:, order], scaled, out=top, where=scaled > 0.0)
+    _apply_sign_rule(v, top)
+    if on_r:
+        u[rows] = _reflect(y, t, u)
     return u, np.ldexp(scaled, exponent), v
 
 

@@ -21,7 +21,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .linalg import (Matrix, Vector, _binary_exponent, _householder_qr_arrays,
-                     _pinv, _rank, _thin_svd)
+                     _pinv, _rank, _reflect, _thin_svd)
 from .tolerances import CHOLESKY_PD_TOL, RANK_REL_TOL
 
 __all__ = ["Method", "OlsSolution", "mean_1d", "simple_regression", "solve_ols"]
@@ -165,13 +165,12 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
     if method is Method.NORMAL_EQUATIONS:
         c = _normal_equations(arr, ys)
     elif method is Method.QR:
-        r, qty = _householder_qr_arrays(arr, ys[:, None])
-        n = a.cols
-        diag = np.abs(r.diagonal()[:n])
-        if n and diag.min() <= RANK_REL_TOL * diag.max():
+        r, q_y, q_t = _householder_qr_arrays(arr)
+        diag = np.abs(r.diagonal())
+        if a.cols and diag.min() <= RANK_REL_TOL * diag.max():
             raise RankDeficiencyError(
                 "qr: triangular factor has a negligible diagonal entry")
-        c = _solve_upper(r[:n, :n], qty[:n, 0])
+        c = _solve_upper(r, _reflect(q_y, q_t.T, ys)[:a.cols])
     elif method is Method.SVD:
         u, s, v = _thin_svd(arr)
         rank_deficient = _rank(s) < a.cols

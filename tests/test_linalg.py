@@ -1,5 +1,6 @@
 """Kernel tests: containers, QR, Jacobi SVD, pseudo-inverse, truncation."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from tlsfit import (
     truncate_rank,
 )
 from tlsfit import linalg
-from tlsfit.linalg import (_ROUND_MIN_COLS, _jacobi_pairs, _jacobi_rounds,
-                           _thin_svd)
+from tlsfit.linalg import (_QR_MIN_COLS, _QR_MIN_RATIO, _ROUND_MIN_COLS,
+                           _jacobi_pairs, _jacobi_rounds, _thin_svd)
 from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
 from oracles import sym_eigen_closed_form
 
@@ -185,6 +186,25 @@ def test_qr_rejects_wide():
         householder_qr(Matrix([[1.0, 2.0, 3.0]]))
 
 
+@pytest.mark.parametrize("shape", [(300, 7), (1000, 3), (640, 20)])
+def test_qr_tall_invariants(shape):
+    """The compact-WY kernel on tall inputs, with a zero column, a
+    duplicated column and a column near 1e-160 of the largest entry:
+    Q^T Q = I and Q R = A within the criterion-7 bounds, R triangular with
+    nonnegative diagonal."""
+    m, n = shape
+    rng = np.random.default_rng(m + n)
+    a = rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0, n)
+    a[:, 1] = 0.0
+    a[:, -1] = a[:, 0]
+    a[:, 2] *= 1e-160
+    res = householder_qr(Matrix(a))
+    q, r = res.q.array, res.r_upper.array
+    assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-12 * m
+    assert np.linalg.norm(q @ r - a) <= 1e-12 * max(1.0, np.linalg.norm(a))
+    assert np.array_equal(r, np.triu(r)) and np.all(r.diagonal() >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # jacobi_svd
 
@@ -291,13 +311,13 @@ def test_svd_invariants_hypothesis(a):
 
 
 @st.composite
-def lapack_cases(draw):
+def lapack_cases(draw, max_cols=40, min_ratio=1, max_ratio=3):
     """Tall m x n Gaussian matrices with column scales over one decade, n
     on both sides of the round-robin cutoff; a quarter each with a zero
     column, a duplicated column, or a column whose squared norm the
     sweeps flush to zero."""
-    n = draw(st.integers(1, 40))
-    m = draw(st.integers(n, 3 * n))
+    n = draw(st.integers(1, max_cols))
+    m = draw(st.integers(min_ratio * n, max_ratio * n))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0, n)
     kind = draw(st.sampled_from(["plain", "zero column", "duplicated column",
@@ -329,9 +349,90 @@ def test_svd_matches_lapack(a):
                        np.linalg.norm(v[:, k] + vt_ref[k])) <= 1e-8
 
 
-@pytest.mark.parametrize("n", [_ROUND_MIN_COLS - 2, _ROUND_MIN_COLS - 1,
-                               _ROUND_MIN_COLS, _ROUND_MIN_COLS + 1,
-                               _ROUND_MIN_COLS + 4])
+@settings(max_examples=40, deadline=None)
+@given(a=lapack_cases(max_cols=24, min_ratio=_QR_MIN_RATIO,
+                      max_ratio=2 * _QR_MIN_RATIO))
+def test_tall_svd_matches_lapack(a):
+    """LAPACK differential on inputs tall enough that from _QR_MIN_COLS
+    columns on the sweeps run on R: sigma within 1e-13 sigma_1, right
+    singular vectors of isolated singular values equal up to sign, and
+    the U columns of nonzero singular values orthonormal to 1e-13."""
+    _, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+    gaps = np.abs(np.diff(s_ref, prepend=np.inf, append=np.inf))
+    isolated = np.minimum(gaps[:-1], gaps[1:]) > 1e-6 * s_ref[0]
+    u, s, v = _thin_svd(a)
+    assert np.all(np.abs(s - s_ref) <= 1e-13 * s_ref[0])
+    for k in np.flatnonzero(isolated):
+        assert min(np.linalg.norm(v[:, k] - vt_ref[k]),
+                   np.linalg.norm(v[:, k] + vt_ref[k])) <= 1e-8
+    live = u[:, s > 0.0]
+    assert np.linalg.norm(live.T @ live - np.eye(live.shape[1])) <= 1e-13
+
+
+def test_preconditioned_u_is_orthonormal():
+    """U = Q U_R keeps U orthonormal to rounding even where sigma falls to
+    1e-11 sigma_1, a value the rank rule keeps; recovering U as
+    A V Sigma^-1 instead loses about 1e-5 there."""
+    m, n = 2000, 10
+    assert n >= _QR_MIN_COLS and m >= _QR_MIN_RATIO * n
+    rng = np.random.default_rng(80)
+    q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    p, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.geomspace(1.0, 1e-11, n)) @ p.T
+    u, s, v = _thin_svd(a)
+    assert linalg._rank(s) == n
+    assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-13
+    assert np.linalg.norm((u * s) @ v.T - a) <= 1e-14 * s[0]
+
+
+def _pair_sweep_sigma(a):
+    w, v = np.array(a, order="F"), np.eye(a.shape[1])
+    _jacobi_pairs(w, v)
+    return np.sort(np.linalg.norm(w, axis=0))[::-1]
+
+
+@pytest.mark.parametrize("grading", ["columns", "rows"])
+def test_preconditioned_sweeps_keep_relative_accuracy(grading):
+    """Demmel & Veselic (SIAM J. Matrix Anal. Appl. 13(4), 1992): one-sided
+    Jacobi on A = B D (columns scaled down to 1e-30) or A = D B (rows
+    scaled from 1 to 1e-30, in random order) gets every singular value to
+    high relative accuracy.  Sweeping the R of A instead agrees with the
+    per-pair sweeps on A itself to 1e-13 relative on every sigma."""
+    rng = np.random.default_rng(81 if grading == "columns" else 82)
+    for _ in range(6):
+        n = int(rng.integers(_QR_MIN_COLS, 17))
+        m = int(rng.integers(_QR_MIN_RATIO * n, 2 * _QR_MIN_RATIO * n))
+        b = rng.standard_normal((m, n))
+        if grading == "columns":
+            a = b * np.geomspace(1.0, 1e-30, n)[rng.permutation(n)]
+        else:
+            a = b * np.geomspace(1.0, 1e-30, m)[rng.permutation(m), None]
+        expected = _pair_sweep_sigma(a)
+        s = _thin_svd(a)[1]
+        np.testing.assert_allclose(s, expected, rtol=1e-13, atol=0)
+
+
+def test_preconditioned_sweeps_on_steeply_row_graded_input():
+    """Rows graded from 1 to 1e-30 over the first n rows, all others at
+    1e-33, in random order.  Sorting the rows before the QR keeps the
+    smallest singular values to about 1e-12 relative of the per-pair
+    sweeps on A (without it they are off by 1e12 relative); reaching the
+    per-pair accuracy here needs column pivoting in the QR."""
+    rng = np.random.default_rng(83)
+    for _ in range(6):
+        n = int(rng.integers(_QR_MIN_COLS, 17))
+        m = int(rng.integers(_QR_MIN_RATIO * n, 2 * _QR_MIN_RATIO * n))
+        scale = np.concatenate([np.geomspace(1.0, 1e-30, n),
+                                np.full(m - n, 1e-33)])
+        a = (rng.standard_normal((m, n)) * scale[:, None])[rng.permutation(m)]
+        np.testing.assert_allclose(_thin_svd(a)[1], _pair_sweep_sigma(a),
+                                   rtol=1e-11, atol=0)
+
+
+# Both sides of the round-robin cutoff, plus widths 10-16 well inside it.
+@pytest.mark.parametrize("n", sorted({_ROUND_MIN_COLS - 2, _ROUND_MIN_COLS - 1,
+                                      _ROUND_MIN_COLS, _ROUND_MIN_COLS + 1,
+                                      _ROUND_MIN_COLS + 4, 10, 11, 12, 13, 16}))
 def test_round_robin_sweeps_match_per_pair_loop(n):
     """On the same matrices, the per-pair loop and the batched rounds both
     leave every column pair within JACOBI_OFFDIAG_TOL, accumulate their
@@ -359,15 +460,26 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
         np.testing.assert_allclose(sigmas[1], sigmas[0], rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("shape", [(60, 30), (20, 4)])
+SWEEP_PATHS = {(60, 30): "rounds on A", (20, 4): "pairs on A",
+               (1000, 10): "rounds on R"}
+
+
+@pytest.mark.parametrize("shape", list(SWEEP_PATHS))
 def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
-    """One sweep cannot confirm a Gaussian matrix, on either path: 60 x 30
-    sweeps in rounds and 20 x 4 pair by pair."""
-    assert (shape[1] >= _ROUND_MIN_COLS) == (shape == (60, 30))
+    """One sweep cannot confirm a Gaussian matrix, on any path: 60 x 30
+    sweeps A in rounds, 20 x 4 sweeps A pair by pair and 1000 x 10 sweeps
+    its R in rounds.  The error names the path and the largest
+    off-diagonal ratio left, next to the tolerance."""
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     a = np.random.default_rng(70).standard_normal(shape)
-    with pytest.raises(ConvergenceError, match="did not converge in 1 sweeps"):
+    with pytest.raises(ConvergenceError) as info:
         jacobi_svd(Matrix(a))
+    found = re.fullmatch(
+        r"one-sided Jacobi SVD did not converge in 1 sweeps \((.+); largest "
+        r"off-diagonal ratio (\S+) vs JACOBI_OFFDIAG_TOL 1e-15\)",
+        str(info.value))
+    assert found and found[1] == SWEEP_PATHS[shape]
+    assert JACOBI_OFFDIAG_TOL < float(found[2]) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Memory: no solver builds an m x m factor.
 
 On a 20000 x 3 problem a single m x m float array is 3.2 GB, so each
-solver path's tracemalloc peak bounds the factors it asked for.
+solver path's tracemalloc peak bounds the factors it asked for.  The
+20000 x 20 problem takes the QR-preconditioned SVD, whose reflectors, R
+and U = Q U_R are each at most one m x n array.
 """
 import tracemalloc
 
@@ -22,6 +24,9 @@ from tlsfit import (
 
 ROWS = 20000
 PEAK_BOUND = 16 << 20
+# 20000 x 20: peaks measured 2.2 (ols_qr) to 5.3 (tls_fixed) m n doubles.
+WIDE_COLS = 20
+WIDE_PEAK_BOUND = 8 * ROWS * WIDE_COLS * 8
 
 
 def _tall_problem():
@@ -51,6 +56,27 @@ def _calls():
 CALLS = _calls()
 
 
+def _wide_calls():
+    """The same six paths, each factoring about WIDE_COLS columns."""
+    rng = np.random.default_rng(91)
+    a = rng.standard_normal((ROWS, WIDE_COLS)) * np.geomspace(3.0, 0.3,
+                                                              WIDE_COLS)
+    y = a @ rng.standard_normal(WIDE_COLS) + 0.1 * rng.standard_normal(ROWS)
+    b = Matrix(y.reshape(-1, 1))
+    return {
+        "ols_svd": (solve_ols, Matrix(a), Vector(y), Method.SVD),
+        "ols_qr": (solve_ols, Matrix(a), Vector(y), Method.QR),
+        "hyperplane": (fit_hyperplane_tls,
+                       PointCloud(np.column_stack([a[:, 1:], y]))),
+        "tls_system": (solve_tls_system, Matrix(a[:, 1:]), Vector(y)),
+        "tls_multi": (solve_tls_multi, Matrix(a[:, 1:]), b),
+        "tls_fixed": (solve_tls_fixed, Matrix(a[:, :5]), Matrix(a[:, 5:]), b),
+    }
+
+
+WIDE_CALLS = _wide_calls()
+
+
 @pytest.mark.parametrize("path", sorted(CALLS))
 def test_solver_peak_memory_is_linear_in_rows(path):
     fn, *args = CALLS[path]
@@ -63,3 +89,18 @@ def test_solver_peak_memory_is_linear_in_rows(path):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_BOUND, f"{path}: peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("path", sorted(WIDE_CALLS))
+def test_preconditioned_solver_peak_memory(path):
+    fn, *args = WIDE_CALLS[path]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < WIDE_PEAK_BOUND, \
+        f"{path}: peak {peak / (ROWS * WIDE_COLS * 8):.2f} m n doubles"

@@ -223,6 +223,16 @@ def test_power_of_two_scaling_is_exact(i, j):
     qr, scaled_qr = householder_qr(Matrix(a)), householder_qr(scaled_a)
     assert np.array_equal(scaled_qr.q.array, qr.q.array)
     assert np.array_equal(scaled_qr.r_upper.array, np.ldexp(qr.r_upper.array, i))
+    # A tall A, whose SVD sweeps the R of its QR.
+    tall = rng.standard_normal((600, 6)) * np.arange(1.0, 7.0)
+    tall_y = tall @ np.arange(1.0, 7.0) + 0.1 * rng.standard_normal(600)
+    for method in (Method.QR, Method.SVD):
+        base = solve_ols(Matrix(tall), Vector(tall_y), method)
+        sol = solve_ols(Matrix(np.ldexp(tall, i)),
+                        Vector(np.ldexp(tall_y, j)), method)
+        assert np.array_equal(sol.coefficients.array,
+                              np.ldexp(base.coefficients.array, j - i)), method
+        assert sol.residual_norm == math.ldexp(base.residual_norm, j), method
 
 
 def test_cholesky_pivot_report_is_scale_free():
