@@ -11,83 +11,16 @@ together with the dense kernels (Householder QR, one-sided Jacobi SVD)
 they run on and a CSV/JSON CLI.
 """
 
-from .errors import (
-    ConvergenceError,
-    DegenerateAbscissaError,
-    DimensionError,
-    EmptyDataError,
-    FitError,
-    FormatError,
-    NoTlsSolutionError,
-    RankDeficiencyError,
-)
-from .extensions import (
-    FixedColsSolution,
-    MultiRhsSolution,
-    solve_tls_fixed,
-    solve_tls_multi,
-)
-from .geometry import (
-    HyperplaneFit,
-    PointCloud,
-    center_matrix,
-    centroid,
-    fit_hyperplane_tls,
-    point_hyperplane_distance,
-)
-from .linalg import (
-    Matrix,
-    QrResult,
-    SvdResult,
-    Vector,
-    frobenius_norm,
-    householder_qr,
-    jacobi_svd,
-    multiply,
-    pinv_apply,
-    truncate_rank,
-)
-from .ols import Method, OlsSolution, mean_1d, simple_regression, solve_ols
-from .system import TlsSystemSolution, augment, solve_tls_system, tls_objective
+from . import errors, extensions, geometry, linalg, ols, system
+from .errors import *
+from .extensions import *
+from .geometry import *
+from .linalg import *
+from .ols import *
+from .system import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DegenerateAbscissaError",
-    "DimensionError",
-    "EmptyDataError",
-    "FitError",
-    "FormatError",
-    "NoTlsSolutionError",
-    "RankDeficiencyError",
-    "FixedColsSolution",
-    "MultiRhsSolution",
-    "solve_tls_fixed",
-    "solve_tls_multi",
-    "HyperplaneFit",
-    "PointCloud",
-    "center_matrix",
-    "centroid",
-    "fit_hyperplane_tls",
-    "point_hyperplane_distance",
-    "Matrix",
-    "QrResult",
-    "SvdResult",
-    "Vector",
-    "frobenius_norm",
-    "householder_qr",
-    "jacobi_svd",
-    "multiply",
-    "pinv_apply",
-    "truncate_rank",
-    "Method",
-    "OlsSolution",
-    "mean_1d",
-    "simple_regression",
-    "solve_ols",
-    "TlsSystemSolution",
-    "augment",
-    "solve_tls_system",
-    "tls_objective",
-]
+# Each public name is listed once, in its module's __all__.
+__all__ = [*errors.__all__, *extensions.__all__, *geometry.__all__,
+           *linalg.__all__, *ols.__all__, *system.__all__]

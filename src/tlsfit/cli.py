@@ -25,11 +25,12 @@ from .errors import (
     FitError,
     FormatError,
     NoTlsSolutionError,
+    RangeError,
     RankDeficiencyError,
 )
 from .extensions import solve_tls_fixed, solve_tls_multi
 from .geometry import PointCloud, fit_hyperplane_tls
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, _sum_of_squares
 from .ols import Method, solve_ols
 from .system import solve_tls_system
 
@@ -123,14 +124,6 @@ def parse_csv(path: str) -> Matrix:
     return Matrix(values)
 
 
-def _vec(v) -> list:
-    return [float(t) for t in np.asarray(v.array if isinstance(v, Vector) else v)]
-
-
-def _mat_rows(rows: np.ndarray) -> list:
-    return [[float(t) for t in row] for row in rows]
-
-
 def _fit_ols(data: Matrix, report: FitReport) -> None:
     if data.cols < 2:
         raise DimensionError("ols: need at least 2 columns (x..., y)")
@@ -138,9 +131,9 @@ def _fit_ols(data: Matrix, report: FitReport) -> None:
     design = Matrix(np.column_stack([np.ones(data.rows), arr[:, :-1]]))
     y = Vector(arr[:, -1])
     solution = solve_ols(design, y, Method.SVD)
-    report.coefficients = _vec(solution.coefficients)
-    report.objective = float(solution.residual_norm ** 2)
-    report.singular_values = _vec(solution.sigma)
+    report.coefficients = solution.coefficients.array.tolist()
+    report.objective = _sum_of_squares(solution.residual_norm, "objective")
+    report.singular_values = solution.sigma.array.tolist()
     report.unique = not solution.rank_deficient
 
 
@@ -149,14 +142,14 @@ def _fit_geometry(data: Matrix, report: FitReport, line_only: bool) -> None:
         raise DimensionError(
             f"tls-line: need exactly 2 columns, got {data.cols}")
     fit = fit_hyperplane_tls(PointCloud(data))
-    report.normal = _vec(fit.normal)
-    report.centroid = _vec(fit.centroid)
-    report.objective = float(fit.objective)
-    report.singular_values = _vec(fit.sigma)
+    report.normal = fit.normal.array.tolist()
+    report.centroid = fit.centroid.array.tolist()
+    report.objective = fit.objective
+    report.singular_values = fit.sigma.array.tolist()
     report.unique = fit.unique
     report.expressible = fit.expressible
     if fit.explicit_coeffs is not None:
-        report.coefficients = _vec(fit.explicit_coeffs)
+        report.coefficients = fit.explicit_coeffs.array.tolist()
 
 
 def _fit_system(data: Matrix, request: FitRequest, report: FitReport) -> None:
@@ -168,9 +161,9 @@ def _fit_system(data: Matrix, request: FitRequest, report: FitReport) -> None:
     a = Matrix(arr[:, :-1])
     b = Vector(arr[:, -1])
     solution = solve_tls_system(a, b)
-    report.coefficients = _vec(solution.coefficients)
-    report.objective = float(solution.tls_residual ** 2)
-    report.singular_values = _vec(solution.sigma)
+    report.coefficients = solution.coefficients.array.tolist()
+    report.objective = _sum_of_squares(solution.tls_residual, "objective")
+    report.singular_values = solution.sigma.array.tolist()
     report.unique = solution.unique
 
 
@@ -182,9 +175,9 @@ def _fit_multi(data: Matrix, request: FitRequest, report: FitReport) -> None:
     arr = data.array
     solution = solve_tls_multi(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
     n = data.cols - p
-    report.coefficients = _mat_rows(solution.x.array)
-    report.objective = float(np.sum(solution.sigma.array[n:] ** 2))
-    report.singular_values = _vec(solution.sigma)
+    report.coefficients = solution.x.array.tolist()
+    report.objective = _sum_of_squares(solution.sigma.array[n:], "objective")
+    report.singular_values = solution.sigma.array.tolist()
     report.unique = solution.unique
 
 
@@ -198,9 +191,9 @@ def _fit_fixed(data: Matrix, request: FitRequest, report: FitReport) -> None:
     solution = solve_tls_fixed(
         Matrix(arr[:, :j]), Matrix(arr[:, j:data.cols - p]),
         Matrix(arr[:, data.cols - p:]))
-    report.coefficients = _mat_rows(
-        np.vstack([solution.x1.array, solution.x2.array]))
-    report.objective = float(solution.minimized_value)
+    report.coefficients = np.vstack(
+        [solution.x1.array, solution.x2.array]).tolist()
+    report.objective = solution.minimized_value
     report.unique = solution.x1_unique
 
 
@@ -211,6 +204,7 @@ _ERROR_KINDS = (
     (DimensionError, "dimension_error"),
     (RankDeficiencyError, "rank_deficiency"),
     (ConvergenceError, "convergence_error"),
+    (RangeError, "range_error"),
     (MemoryError, "memory_error"),
 )
 
@@ -245,17 +239,17 @@ def run(request: FitRequest):
         report.error = {
             "kind": "no_tls_solution",
             "detail": str(exc),
-            "null_vector": _vec(exc.null_vector),
+            "null_vector": exc.null_vector.array.tolist(),
         }
-        report.singular_values = _vec(exc.sigma)
+        report.singular_values = exc.sigma.array.tolist()
         return report, EXIT_NO_TLS_SOLUTION
     except (FitError, OSError, ValueError, MemoryError) as exc:
-        report.error = {
+        # A fit that fails after filling some fields reports none of them.
+        return FitReport(mode=request.mode, error={
             "kind": _error_kind(exc),
             "detail": str(exc) or "out of memory",
             "null_vector": None,
-        }
-        return report, EXIT_INPUT_ERROR
+        }), EXIT_INPUT_ERROR
     return report, EXIT_OK
 
 

@@ -1,6 +1,10 @@
 """Exception hierarchy shared by all fitting modules."""
 from __future__ import annotations
 
+__all__ = ["FitError", "DimensionError", "EmptyDataError",
+           "DegenerateAbscissaError", "RankDeficiencyError", "ConvergenceError",
+           "RangeError", "NoTlsSolutionError", "FormatError"]
+
 
 class FitError(Exception):
     """Base class for every error raised by this package."""
@@ -25,6 +29,11 @@ class RankDeficiencyError(FitError):
 
 class ConvergenceError(FitError):
     """An iterative kernel exhausted its sweep budget without converging."""
+
+
+class RangeError(FitError, OverflowError):
+    """A result of finite data, such as an objective, a singular value or
+    an intercept, is beyond the float range."""
 
 
 class NoTlsSolutionError(FitError):

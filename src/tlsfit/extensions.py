@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NoTlsSolutionError
-from .linalg import Matrix, Vector, _pinv, _rank, _thin_svd, _truncate
-from .system import _tls_split
+from .errors import DimensionError
+from .linalg import (Matrix, Vector, _pinv, _rank, _sum_of_squares, _thin_svd,
+                     _truncate)
+from .system import _split_or_raise
 
 __all__ = [
     "MultiRhsSolution",
@@ -55,19 +56,6 @@ class FixedColsSolution:
     x2: Matrix
     minimized_value: float
     x1_unique: bool
-
-
-def _split_or_raise(c: np.ndarray, n: int):
-    """``_tls_split`` of C after column n, raising when X does not exist."""
-    factors, x, null_vector, s22, unique = _tls_split(c, n)
-    if x is None:
-        raise NoTlsSolutionError(
-            "no TLS solution: the trailing block of the right singular "
-            f"matrix is singular (smallest singular value {s22:.3e})",
-            null_vector=Vector(null_vector),
-            sigma=Vector(factors[1]),
-        )
-    return factors, x, unique
 
 
 def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
@@ -127,10 +115,9 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     (_, s, _), x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k)
     # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
     x1 = _pinv(u1, s1, v1, b.array - a2.array @ x2)
-    minimized = np.sum(s[k:] ** 2)
     return FixedColsSolution(
         x1=Matrix(x1),
         x2=Matrix(x2),
-        minimized_value=float(minimized),
+        minimized_value=_sum_of_squares(s[k:], "minimized value"),
         x1_unique=bool(r == j),
     )

@@ -15,17 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import Matrix, Vector
+from .linalg import (Matrix, Vector, _binary_exponent, _ldexp_in_range,
+                     _sum_of_squares)
 from .system import _tls_split
 
-__all__ = [
-    "PointCloud",
-    "HyperplaneFit",
-    "centroid",
-    "center_matrix",
-    "fit_hyperplane_tls",
-    "point_hyperplane_distance",
-]
+__all__ = ["PointCloud", "HyperplaneFit", "fit_hyperplane_tls",
+           "point_hyperplane_distance"]
 
 
 class PointCloud:
@@ -77,17 +72,6 @@ class HyperplaneFit:
     sigma: Vector
 
 
-def centroid(cloud: PointCloud) -> Vector:
-    """Coordinate-wise mean of the cloud."""
-    return Vector(cloud.points.array.mean(axis=0))
-
-
-def center_matrix(cloud: PointCloud) -> Matrix:
-    """The cloud with its centroid subtracted from every row."""
-    pts = cloud.points.array
-    return Matrix(pts - pts.mean(axis=0))
-
-
 def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
     """Fit the hyperplane minimizing the sum of squared true distances.
 
@@ -95,24 +79,30 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
     returned; non-uniqueness (tied smallest singular values) and
     non-expressibility (vertical hyperplane) are reported as flags, with
     the deterministic SVD sign convention picking the reported normal.
+    The cloud is centered after scaling it by an exact power of two, so
+    the centroid of any finite cloud is representable; RangeError means
+    that a singular value, the intercept c0 or the objective is not.
     """
     m, n = cloud.size, cloud.dim
     if m < n:
         raise DimensionError(
             f"fit_hyperplane_tls: need at least {n} points in R^{n}, got {m}")
-    center = cloud.points.array.mean(axis=0)
+    exponent = _binary_exponent(cloud.points.array)
+    centered = np.ldexp(cloud.points.array, -exponent)
+    center = centered.mean(axis=0)
+    centered -= center
     # y = c0 + slope . x is the one-column TLS split of the centered cloud.
-    centered = cloud.points.array - center
-    (_, s, v), x, _, _, unique = _tls_split(centered, n - 1)
+    (_, s, v), x, _, _, unique = _tls_split(centered, n - 1, exponent)
     explicit = None
     if x is not None:
         slope = x[:, 0]
-        c0 = center[n - 1] - slope @ center[:n - 1]
+        c0 = _ldexp_in_range(center[n - 1] - slope @ center[:n - 1],
+                             exponent, "intercept c0")
         explicit = Vector(np.concatenate(([c0], slope)))
     return HyperplaneFit(
-        centroid=Vector(center),
+        centroid=Vector(np.ldexp(center, exponent)),
         normal=Vector(v[:, n - 1]),
-        objective=float(s[n - 1] ** 2),
+        objective=_sum_of_squares(s[n - 1:], "objective"),
         unique=unique,
         expressible=x is not None,
         explicit_coeffs=explicit,

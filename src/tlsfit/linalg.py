@@ -1,9 +1,10 @@
 """Small dense linear algebra kernel.
 
 Everything the fitting modules consume lives here: immutable matrix and
-vector containers (column-major storage), Householder QR, a one-sided
-Jacobi SVD, minimum-norm pseudo-inverse application and Frobenius-optimal
-rank truncation.
+vector containers (column-major storage), Householder QR and a one-sided
+Jacobi SVD, plus the private array helpers the solvers share: numerical
+rank, minimum-norm pseudo-inverse application, rank truncation, and
+power-of-two scaling that keeps squares and results in the float range.
 
 There is one QR: ``_householder_qr_arrays`` keeps its reflectors in
 compact WY form Q = I - Y T Y^T, so applying Q or Q^T to a block is three
@@ -15,8 +16,9 @@ columns on, and one pair at a time below.
 
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
-(``_thin_svd``, ``_rank``, ``_pinv``, ``_truncate``) work on ndarrays, so
-the solvers build a container only for a value they return.
+(``_thin_svd``, ``_rank``, ``_pinv``, ``_truncate``, ``_sum_of_squares``)
+work on ndarrays, so the solvers build a container only for a value they
+return.
 """
 from __future__ import annotations
 
@@ -25,25 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, RangeError
 from .tolerances import (
     JACOBI_MAX_SWEEPS,
     JACOBI_OFFDIAG_TOL,
     RANK_REL_TOL,
 )
 
-__all__ = [
-    "Matrix",
-    "Vector",
-    "QrResult",
-    "SvdResult",
-    "multiply",
-    "frobenius_norm",
-    "householder_qr",
-    "jacobi_svd",
-    "pinv_apply",
-    "truncate_rank",
-]
+__all__ = ["Matrix", "Vector", "QrResult", "SvdResult", "householder_qr",
+           "jacobi_svd"]
 
 
 def _as_float_array(data, ndim, what):
@@ -74,14 +66,6 @@ class Matrix:
         self._a = _as_float_array(data, 2, "Matrix")
         self._a.flags.writeable = False
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -98,11 +82,6 @@ class Matrix:
     def array(self) -> np.ndarray:
         """Read-only ndarray view of the entries."""
         return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Entries as a flat read-only array in column-major order."""
-        return self._a.reshape(-1, order="F")
 
     def __getitem__(self, idx):
         return float(self._a[idx])
@@ -127,13 +106,6 @@ class Vector:
     @property
     def array(self) -> np.ndarray:
         return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._a
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._a))
 
     def __len__(self):
         return self._a.shape[0]
@@ -168,11 +140,6 @@ class SvdResult:
     sigma: Vector
     v: Matrix
 
-    @property
-    def rank(self) -> int:
-        """Numerical rank under the shared relative threshold."""
-        return _rank(self.sigma.array)
-
 
 def _binary_exponent(a) -> int:
     """The e with max|a| in [2^(e-1), 2^e), or 0 when a is all zero.
@@ -181,6 +148,25 @@ def _binary_exponent(a) -> int:
     keeps squares and products away from both overflow and underflow.
     """
     return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+
+
+def _ldexp_in_range(a, exponent: int, what: str):
+    """a * 2^exponent, or RangeError naming ``what`` when that is beyond
+    the float range."""
+    largest = float(np.abs(a).max(initial=0.0))
+    if largest and math.frexp(largest)[1] + exponent > 1024:
+        raise RangeError(f"{what} beyond the float range: {largest:.6g} * "
+                         f"2^{exponent} >= 2^1024")
+    return np.ldexp(a, exponent)
+
+
+def _sum_of_squares(a, what: str) -> float:
+    """sum a_i^2 of an array or a float, squared after scaling by an exact
+    power of two: bit for bit the plain sum wherever that is a normal
+    float, and a RangeError naming ``what`` where it would overflow."""
+    exponent = _binary_exponent(a)
+    scaled = np.ldexp(a, -exponent)
+    return float(_ldexp_in_range((scaled * scaled).sum(), 2 * exponent, what))
 
 
 def _rank(s: np.ndarray) -> int:
@@ -206,19 +192,6 @@ def _pinv(u: np.ndarray, s: np.ndarray, v: np.ndarray, rhs: np.ndarray):
 def _truncate(u: np.ndarray, s: np.ndarray, v: np.ndarray, k: int):
     """Sum of the k leading rank-one terms s_i u_i v_i^T."""
     return (u[:, :k] * s[:k]) @ v[:, :k].T
-
-
-def multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b."""
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"multiply: inner dimensions differ ({a.cols} vs {b.rows})")
-    return Matrix(a.array @ b.array)
-
-
-def frobenius_norm(a: Matrix) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(a.array, "fro"))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +249,14 @@ def _householder_qr_arrays(a: np.ndarray):
 
 
 def _reflect(y: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """(I - Y T Y^T) block: Q block, or Q^T block for T^T."""
-    out = y @ (t @ (y.T @ block))
-    return np.subtract(block, out, out=out)
+    """(I - Y T Y^T) [block; 0]: Q, or Q^T for T^T, applied to ``block``
+    padded with zero rows to the height of Y, so Y^T [block; 0] reads
+    only the top rows of Y."""
+    k = block.shape[0]
+    out = y @ (t @ (y[:k].T @ block))
+    np.subtract(block, out[:k], out=out[:k])
+    np.negative(out[k:], out=out[k:])
+    return out
 
 
 def householder_qr(a: Matrix) -> QrResult:
@@ -522,7 +500,8 @@ def _thin_svd(a: np.ndarray):
         # Rows in decreasing max-norm order keep the QR accurate on rows of
         # very different scales (Cox & Higham, BIT 38(1), 1998).
         rows = np.argsort(-np.abs(a).max(axis=1))
-        w, y, t = _householder_qr_arrays(np.ldexp(a[rows], -exponent))
+        w = a[rows]  # scaled in place, and freed once R replaces it
+        w, y, t = _householder_qr_arrays(np.ldexp(w, -exponent, out=w))
     else:
         w = np.ldexp(a, -exponent)
     v = np.eye(n, order="F")
@@ -531,13 +510,13 @@ def _thin_svd(a: np.ndarray):
     order = np.argsort(-norms, kind="stable")
     scaled = norms[order]
     v = np.asfortranarray(v[:, order])
-    u = np.zeros((m, n), order="F")
-    top = u[:w.shape[0]]  # all of U, or U_R on top of zeros
-    np.divide(w[:, order], scaled, out=top, where=scaled > 0.0)
-    _apply_sign_rule(v, top)
+    u = np.zeros(w.shape, order="F")  # U, or U_R
+    np.divide(w[:, order], scaled, out=u, where=scaled > 0.0)
+    _apply_sign_rule(v, u)
     if on_r:
-        u[rows] = _reflect(y, t, u)
-    return u, np.ldexp(scaled, exponent), v
+        u_r, u = u, np.empty((m, n), order="F")
+        u[rows] = _reflect(y, t, u_r)  # Q [U_R; 0]
+    return u, _ldexp_in_range(scaled, exponent, "singular values"), v
 
 
 def jacobi_svd(a: Matrix) -> SvdResult:
@@ -558,29 +537,3 @@ def jacobi_svd(a: Matrix) -> SvdResult:
     # A^T = U' S V'^T: V is the completed U', its completion signed too.
     _apply_sign_rule(full, v)
     return SvdResult(u=Matrix(v), sigma=Vector(s), v=Matrix(full))
-
-
-def pinv_apply(svd: SvdResult, y: Vector) -> Vector:
-    """Minimum-norm least squares solution V diag(sigma)^+ U^T y.
-
-    Singular values at or below the relative rank threshold are treated
-    as zero, which fixes the undetermined components to zero.
-    """
-    m = svd.u.rows
-    if y.len != m:
-        raise DimensionError(
-            f"pinv_apply: y has length {y.len}, expected {m}")
-    return Vector(_pinv(svd.u.array, svd.sigma.array, svd.v.array, y.array))
-
-
-def truncate_rank(svd: SvdResult, k: int) -> Matrix:
-    """Best Frobenius-norm approximation of rank at most k.
-
-    Sums the k leading rank-one terms sigma_i u_i v_i^T.
-    """
-    m = svd.u.rows
-    n = svd.v.rows
-    if not 0 <= k <= min(m, n):
-        raise DimensionError(
-            f"truncate_rank: k={k} outside [0, {min(m, n)}]")
-    return Matrix(_truncate(svd.u.array, svd.sigma.array, svd.v.array, k))

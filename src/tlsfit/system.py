@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NoTlsSolutionError
-from .linalg import Matrix, Vector, _thin_svd, _truncate
+from .linalg import Matrix, Vector, _ldexp_in_range, _thin_svd, _truncate
 from .tolerances import EXISTENCE_TOL, GAP_TOL
 
 __all__ = ["TlsSystemSolution", "augment", "solve_tls_system", "tls_objective"]
@@ -44,21 +44,39 @@ def augment(a: Matrix, b: Vector) -> Matrix:
     return Matrix(np.column_stack([a.array, -b.array]))
 
 
-def _tls_split(c: np.ndarray, n: int):
+def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
     """SVD of C = (A | B) split after column n, and X = -V12 V22^{-1}.
 
-    Returns ((u, s, v), x, null_vector, s22, unique): (u, s, v) is the
-    thin SVD of C; x is None when s22, the smallest singular value of
-    V22, is at most EXISTENCE_TOL; null_vector is V[:, n:] times its right
+    ``c`` holds C scaled by 2^-exponent.  Returns ((u, s, v), x,
+    null_vector, s22, unique): (u, s, v) is the thin SVD of C, s at the
+    scale of C; x is None when s22, the smallest singular value of V22, is
+    at most EXISTENCE_TOL; null_vector is V[:, n:] times its right
     singular vector; unique is the gap test at column n.
     """
-    _, s, v = factors = _thin_svd(np.asfortranarray(c))
+    u, s, v = _thin_svd(np.asfortranarray(c))
+    if exponent:
+        s = _ldexp_in_range(s, exponent, "singular values")
     u22, s22, v22 = _thin_svd(v[n:, n:])
     x = None
     if s22[-1] > EXISTENCE_TOL:  # dividing before U22^T keeps p = 1 exact
         x = ((-v[:n, n:] @ v22) / s22) @ u22.T
     unique = n == 0 or bool((s[n - 1] - s[n]) > GAP_TOL * max(s[0], 1.0))
-    return factors, x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
+    return (u, s, v), x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
+
+
+def _split_or_raise(c: np.ndarray, n: int):
+    """``_tls_split`` of C after column n, raising NoTlsSolutionError, with
+    s22 and its threshold, when X does not exist."""
+    factors, x, null_vector, s22, unique = _tls_split(c, n)
+    if x is None:
+        raise NoTlsSolutionError(
+            "no TLS solution: the trailing block of the right singular "
+            f"matrix is singular (smallest singular value {s22:.3e} <= "
+            f"EXISTENCE_TOL {EXISTENCE_TOL:g})",
+            null_vector=Vector(null_vector),
+            sigma=Vector(factors[1]),
+        )
+    return factors, x, unique
 
 
 def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
@@ -74,15 +92,8 @@ def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     if a.rows < n + 1:
         raise DimensionError(
             f"solve_tls_system: need rows > cols, got {a.rows} x {n}")
-    factors, x, null_vector, _, unique = _tls_split(augment(a, b).array, n)
-    _, s, v = factors
-    if x is None:
-        raise NoTlsSolutionError(
-            "no TLS solution: the subdominant right singular vector has a "
-            f"vanishing last component ({v[n, n]:.3e})",
-            null_vector=Vector(null_vector),
-            sigma=Vector(s),
-        )
+    factors, x, unique = _split_or_raise(augment(a, b).array, n)
+    s = factors[1]
     return TlsSystemSolution(
         coefficients=Vector(-x[:, 0]),
         nearest_system=Matrix(_truncate(*factors, n)),

@@ -124,7 +124,9 @@ def test_criterion_3_centroid_lemma():
 
             total = sum(point_hyperplane_distance(fit, Vector(p)) ** 2
                         for p in pts)
-            sigma_min2 = fit.sigma.array[-1] ** 2
+            # s * s, not s ** 2: the power of a numpy scalar goes through
+            # C pow, which can miss the correctly rounded square by an ulp.
+            sigma_min2 = fit.sigma.array[-1] * fit.sigma.array[-1]
             assert fit.objective == sigma_min2
             assert abs(total - sigma_min2) <= 1e-9 * max(sigma_min2, 1e-12)
         assert checked_explicit >= 400

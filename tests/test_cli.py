@@ -1,5 +1,6 @@
 """CSV parsing, mode dispatch, exit codes and deterministic reports."""
 import json
+import math
 import subprocess
 import sys
 
@@ -228,6 +229,63 @@ def test_convergence_error_is_a_typed_report(tmp_path, monkeypatch, capsys,
     assert json.loads(captured.out)["error"]["kind"] == "convergence_error"
     assert captured.err.startswith("fit: convergence_error: one-sided Jacobi")
     assert "Traceback" not in captured.err
+
+
+# (mode, columns, rhs_cols, frozen_cols): every mode on one 8-row shape.
+MODE_SHAPES = [("ols", 3, 1, 0), ("tls-line", 2, 1, 0), ("tls-plane", 3, 1, 0),
+               ("tls-system", 3, 1, 0), ("tls-multi", 3, 1, 0),
+               ("tls-fixed", 3, 1, 1)]
+
+
+def write_rows(tmp_path, name, data):
+    return write(tmp_path, name, "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in data))
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the JSON report")
+
+
+@pytest.mark.parametrize("mode, cols, p, j", MODE_SHAPES)
+def test_objective_beyond_float_range_is_a_typed_report(tmp_path, capsys,
+                                                        mode, cols, p, j):
+    """At 1e160 every objective is near 1e320, beyond the float range: the
+    report is a range_error with no partial solution, its JSON parses with
+    no non-finite number, and no RuntimeWarning (an error under this
+    suite's settings) or traceback escapes."""
+    data = np.random.default_rng(94).standard_normal((8, cols)) * 1e160
+    path = write_rows(tmp_path, "big.csv", data)
+    argv = [mode, "--input", path, "--rhs-cols", str(p), "--frozen-cols",
+            str(j)]
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=reject_constant)
+    assert report["error"]["kind"] == "range_error"
+    assert "beyond the float range" in report["error"]["detail"]
+    assert all(value is None for key, value in report.items()
+               if key not in ("mode", "error"))
+    assert captured.err.startswith("fit: range_error: ")
+
+
+@pytest.mark.parametrize("mode, cols, p, j", MODE_SHAPES)
+def test_objective_scales_exactly_by_powers_of_two(tmp_path, mode, cols, p, j):
+    """Scaling the data by 2^500 scales every objective by exactly 2^1000.
+    For ols only y is scaled: the prepended intercept column cannot scale
+    with the data, and OLS is exact under scaling y alone."""
+    data = np.random.default_rng(95).standard_normal((8, cols))
+    scaled = data.copy()
+    if mode == "ols":
+        scaled[:, -1] = np.ldexp(data[:, -1], 500)
+    else:
+        scaled = np.ldexp(data, 500)
+    objectives = []
+    for name, values in (("one.csv", data), ("big.csv", scaled)):
+        report, code = run(FitRequest(
+            mode=mode, input_path=write_rows(tmp_path, name, values),
+            rhs_cols=p, frozen_cols=j))
+        assert code == EXIT_OK
+        objectives.append(report.objective)
+    assert objectives[1] == math.ldexp(objectives[0], 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,9 @@ def test_multi_tied_spectrum_flags_non_unique():
 
 def test_multi_dimension_checks():
     with pytest.raises(DimensionError):
-        solve_tls_multi(Matrix.identity(3), Matrix([[1.0], [2.0]]))
+        solve_tls_multi(Matrix(np.eye(3)), Matrix([[1.0], [2.0]]))
     with pytest.raises(DimensionError):
-        solve_tls_multi(Matrix.identity(3), Matrix(np.zeros((3, 1))))
+        solve_tls_multi(Matrix(np.eye(3)), Matrix(np.zeros((3, 1))))
     with pytest.raises(DimensionError):
         solve_tls_multi(Matrix(np.ones((3, 2))), Matrix(np.zeros((3, 0))))
 

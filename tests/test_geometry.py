@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from tlsfit import (
     DimensionError,
+    Matrix,
     PointCloud,
+    RangeError,
     Vector,
-    center_matrix,
-    centroid,
     fit_hyperplane_tls,
+    jacobi_svd,
     point_hyperplane_distance,
     simple_regression,
 )
@@ -36,38 +37,79 @@ def test_pointcloud_validation():
         PointCloud([[1.0], [2.0]])  # one coordinate only
 
 
+def fit_centroid(points):
+    return fit_hyperplane_tls(PointCloud(points)).centroid.array
+
+
 def test_centroid_square_corners_origin():
-    assert np.array_equal(centroid(PointCloud(SQUARE_CORNERS)).array,
-                          [0.0, 0.0])
+    assert np.array_equal(fit_centroid(SQUARE_CORNERS), [0.0, 0.0])
 
 
 def test_centroid_repeated_point():
-    cloud = PointCloud([[2.5, -1.0]] * 5)
-    assert np.array_equal(centroid(cloud).array, [2.5, -1.0])
+    assert np.array_equal(fit_centroid([[2.5, -1.0]] * 5), [2.5, -1.0])
 
 
 def test_centroid_matches_column_sums():
     rng = np.random.default_rng(50)
     pts = rng.standard_normal((17, 3))
-    c = centroid(PointCloud(pts)).array
-    np.testing.assert_allclose(17 * c, pts.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(17 * fit_centroid(pts), pts.sum(axis=0),
+                               rtol=1e-12)
+
+
+def assert_centered_exactly(pts):
+    """An already centered cloud is centered exactly: its centroid is
+    exactly zero and the fit's singular values are those of the points."""
+    fit = fit_hyperplane_tls(PointCloud(pts))
+    assert np.array_equal(fit.centroid.array, np.zeros(len(pts[0])))
+    assert np.array_equal(fit.sigma.array,
+                          jacobi_svd(Matrix(pts)).sigma.array)
 
 
 def test_center_matrix_square_corners_exact():
-    b = center_matrix(PointCloud(SQUARE_CORNERS))
-    assert np.array_equal(b.array, np.array(SQUARE_CORNERS, dtype=float))
+    assert_centered_exactly(SQUARE_CORNERS)
 
 
 def test_center_matrix_fixed_point():
-    pts = np.array([[1.0, -2.0], [-1.0, 2.0]])  # already centered
-    assert np.array_equal(center_matrix(PointCloud(pts)).array, pts)
+    assert_centered_exactly([[1.0, -2.0], [-1.0, 2.0]])
 
 
 def test_center_matrix_column_sums_vanish():
     rng = np.random.default_rng(51)
     pts = rng.standard_normal((23, 4)) + 7.0
-    b = center_matrix(PointCloud(pts)).array
+    b = pts - fit_centroid(pts)
     assert np.abs(b.sum(axis=0)).max() <= 1e-12 * 23 * np.abs(pts).max()
+
+
+def test_fit_near_the_float_limit_equals_the_scaled_down_fit():
+    """Coordinates near 1.6e308 overflow a plain mean, which sent NaN into
+    the sweeps.  The fit centers the cloud after an exact power-of-two
+    scaling, so it equals the fit of the cloud scaled by 2^-600, with the
+    centroid, the singular values and c0 scaled back by 2^600."""
+    pts = np.array([[1.5e308, 0.5], [1.6e308, -1.0], [1.7e308, 0.25]])
+    big = fit_hyperplane_tls(PointCloud(pts))
+    small = fit_hyperplane_tls(PointCloud(np.ldexp(pts, -600)))
+    for name in ("centroid", "sigma"):
+        assert np.array_equal(getattr(big, name).array,
+                              np.ldexp(getattr(small, name).array, 600))
+    assert np.array_equal(big.normal.array, small.normal.array)
+    assert big.explicit_coeffs[0] == np.ldexp(small.explicit_coeffs[0], 600)
+    assert np.array_equal(big.explicit_coeffs.array[1:],
+                          small.explicit_coeffs.array[1:])
+    assert big.objective == small.objective == 0.0  # the y column is flushed
+    assert (big.unique, big.expressible) == (small.unique, small.expressible)
+    assert np.isfinite(big.sigma.array).all()
+
+
+@pytest.mark.parametrize("pts, what", [
+    ([[1.7e308, 0.0], [-1.7e308, 0.0], [0.0, 1.0]], "singular values"),
+    # Exactly collinear, slope 2^32: c0 is about -2^1033.
+    ([[2.0 ** 1000, 0.0], [2.0 ** 1000 + 2.0 ** 968, 2.0 ** 1000],
+      [2.0 ** 1000 + 2.0 ** 969, 2.0 ** 1001]], "intercept c0"),
+    ([[1e160, 0.0], [0.0, 1e160], [-1e160, -1e160]], "objective"),
+])
+def test_results_beyond_the_float_range_raise_range_error(pts, what):
+    with pytest.raises(RangeError, match=f"^{what} beyond the float range"):
+        fit_hyperplane_tls(PointCloud(pts))
 
 
 def test_fit_square_corners():

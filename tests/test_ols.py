@@ -111,7 +111,7 @@ def test_simple_regression_shift_invariance():
 
 
 def test_solve_ols_identity():
-    sol = solve_ols(Matrix.identity(2), Vector([3.0, 7.0]), Method.QR)
+    sol = solve_ols(Matrix(np.eye(2)), Vector([3.0, 7.0]), Method.QR)
     np.testing.assert_allclose(sol.coefficients.array, [3.0, 7.0],
                                rtol=0, atol=1e-14)
     assert sol.residual_norm <= 1e-14
@@ -254,6 +254,6 @@ def test_solve_ols_input_validation():
     with pytest.raises(DimensionError):
         solve_ols(Matrix([[1.0, 2.0]]), Vector([1.0]))
     with pytest.raises(DimensionError):
-        solve_ols(Matrix.identity(2), Vector([1.0, 2.0, 3.0]))
+        solve_ols(Matrix(np.eye(2)), Vector([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
-        solve_ols(Matrix.identity(2), Vector([1.0, 2.0]), Method.CLOSED_FORM)
+        solve_ols(Matrix(np.eye(2)), Vector([1.0, 2.0]), Method.CLOSED_FORM)

@@ -1,5 +1,6 @@
 """TLS solution of overdetermined systems via the augmented-matrix SVD."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from tlsfit import (
     Vector,
     augment,
     solve_ols,
+    solve_tls_fixed,
+    solve_tls_multi,
     solve_tls_system,
     tls_objective,
 )
+from tlsfit.cli import EXIT_NO_TLS_SOLUTION, FitRequest, run
+from tlsfit.tolerances import EXISTENCE_TOL
 from oracles import perturbation_probe
 
 RANK1_A = [[1, 0], [0, 0], [0, 0]]
@@ -30,7 +35,7 @@ def noisy_system(rng, m, n, noise=1e-2):
 
 
 def test_augment_zero_rhs():
-    out = augment(Matrix.identity(2), Vector([0.0, 0.0]))
+    out = augment(Matrix(np.eye(2)), Vector([0.0, 0.0]))
     assert np.array_equal(out.array, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
@@ -51,7 +56,7 @@ def test_augment_copies_columns():
 
 def test_augment_length_mismatch():
     with pytest.raises(DimensionError):
-        augment(Matrix.identity(2), Vector([1.0, 2.0, 3.0]))
+        augment(Matrix(np.eye(2)), Vector([1.0, 2.0, 3.0]))
 
 
 def test_zero_null_component_has_no_tls_solution():
@@ -63,6 +68,32 @@ def test_zero_null_component_has_no_tls_solution():
             or np.allclose(null, [0.0, -1.0, 0.0], atol=1e-10))
     np.testing.assert_allclose(err.sigma.array, ZERO_COLUMN_SIGMA,
                                rtol=0, atol=1e-10)
+
+
+def test_no_solution_message_states_s22_and_its_threshold(tmp_path):
+    """One check decides and reports a missing TLS solution for all three
+    solvers: the message gives s22, the smallest singular value of the
+    trailing block V22, next to EXISTENCE_TOL.  The CLI still exits 2."""
+    a, b = Matrix(RANK1_A), Vector(ONES_RHS)
+    rhs = Matrix(np.array(ONES_RHS).reshape(-1, 1))
+    calls = [lambda: solve_tls_system(a, b), lambda: solve_tls_multi(a, rhs),
+             lambda: solve_tls_fixed(Matrix(np.zeros((3, 0))), a, rhs)]
+    messages = []
+    for call in calls:
+        with pytest.raises(NoTlsSolutionError) as info:
+            call()
+        messages.append(str(info.value))
+    found = re.fullmatch(
+        r"no TLS solution: the trailing block of the right singular matrix "
+        r"is singular \(smallest singular value (\S+) <= EXISTENCE_TOL "
+        r"(\S+)\)", messages[0])
+    assert found and float(found[1]) <= float(found[2]) == EXISTENCE_TOL
+    assert messages == [messages[0]] * 3
+    path = tmp_path / "sys.csv"
+    path.write_text("1,0,1\n0,0,1\n0,0,1\n", encoding="utf-8")
+    report, code = run(FitRequest(mode="tls-system", input_path=str(path)))
+    assert code == EXIT_NO_TLS_SOLUTION
+    assert report.error["detail"] == messages[0]
 
 
 def test_exactly_solvable_system_is_fixed_point():
@@ -171,11 +202,11 @@ def test_zero_column_never_gives_silent_answer():
 
 def test_objective_dimension_checks():
     with pytest.raises(DimensionError):
-        tls_objective(Matrix.identity(2), Vector([1.0, 2.0]), Vector([1.0]))
+        tls_objective(Matrix(np.eye(2)), Vector([1.0, 2.0]), Vector([1.0]))
     with pytest.raises(DimensionError):
-        tls_objective(Matrix.identity(2), Vector([1.0]), Vector([1.0, 2.0]))
+        tls_objective(Matrix(np.eye(2)), Vector([1.0]), Vector([1.0, 2.0]))
 
 
 def test_system_requires_strictly_overdetermined():
     with pytest.raises(DimensionError):
-        solve_tls_system(Matrix.identity(2), Vector([1.0, 2.0]))
+        solve_tls_system(Matrix(np.eye(2)), Vector([1.0, 2.0]))
