@@ -112,7 +112,8 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     # Projecting [A2 B] off U1 leaves the Gram matrix, hence sigma and V,
     # of its block in the orthogonal complement of A1's column space.
     a2b = np.column_stack([a2.array, b.array])
-    (_, s, _), x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k)
+    (_, s, _), x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k,
+                                       with_u=False)
     # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
     x1 = _pinv(u1, s1, v1, b.array - a2.array @ x2)
     return FixedColsSolution(

@@ -8,11 +8,15 @@ power-of-two scaling that keeps squares and results in the float range.
 
 There is one QR: ``_householder_qr_arrays`` keeps its reflectors in
 compact WY form Q = I - Y T Y^T, so applying Q or Q^T to a block is three
-matrix products.  The SVD of a tall input (at least _QR_MIN_COLS columns
-and _QR_MIN_RATIO times as many rows) factors it by that QR first and
-sweeps only the n x n R; U = Q U_R comes back through the same WY form.
-The sweeps rotate a round of disjoint pairs at once from _ROUND_MIN_COLS
-columns on, and one pair at a time below.
+matrix products, and pivots on the largest remaining column norm when
+asked.  The SVD of an input with at least _QR_MIN_COLS columns and
+_QR_MIN_SIZE entries sorts its rows, factors A P = Q R with pivoting and
+sweeps only the n x n R^T (Drmac & Veselic); V comes from the swept
+columns, and U = Q [J; 0], J the accumulated rotations, only for callers
+that read U.  Smaller inputs are swept as they are.  The sweeps rotate a
+round of disjoint pairs at once from _ROUND_MIN_COLS columns on, and one
+pair at a time below; both compute the rotation as
+t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
 
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
@@ -153,7 +157,8 @@ def _binary_exponent(a) -> int:
 def _ldexp_in_range(a, exponent: int, what: str):
     """a * 2^exponent, or RangeError naming ``what`` when that is beyond
     the float range."""
-    largest = float(np.abs(a).max(initial=0.0))
+    largest = abs(a) if isinstance(a, float) else float(
+        np.abs(a).max(initial=0.0))
     if largest and math.frexp(largest)[1] + exponent > 1024:
         raise RangeError(f"{what} beyond the float range: {largest:.6g} * "
                          f"2^{exponent} >= 2^1024")
@@ -204,9 +209,13 @@ def _truncate(u: np.ndarray, s: np.ndarray, v: np.ndarray, k: int):
 # norm rounds to 0 while mixed products do not; the QR leaves their
 # reflector out, whose 2 / |v|^2 would overflow.
 _FLUSH2 = 1e-200
+# A downdated squared column norm keeps about half of its digits once it
+# has fallen below this fraction of its value when last computed in full;
+# the pivoted QR then recomputes it (tol3z = sqrt(eps) of LAPACK xLAQP2).
+_DOWNDATE_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def _householder_qr_arrays(a: np.ndarray):
+def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
     """QR of an m x n array (m >= n) by Householder reflections.
 
     Returns (r, y, t): r is the n x n upper-triangular factor, and the
@@ -219,17 +228,43 @@ def _householder_qr_arrays(a: np.ndarray):
     which makes R_jj = -sign(x_1) |x|; ``householder_qr`` turns the
     diagonal nonnegative.  The work runs on A scaled by an exact power of
     two, so R scales exactly with A and Y and T do not depend on its scale.
+
+    With ``pivot`` the next column is always the one of largest remaining
+    norm (Businger & Golub, Numer. Math. 7, 1965), A P = Q R, and a fourth
+    value ``perm`` says that column k of R is column perm[k] of A.  Each
+    new reflector meets all later columns at once (F = A^T Y), which gives
+    the next row of R and downdates the remaining norms from it; a norm is
+    recomputed once downdating has cancelled (Drmac & Bujanovic, ACM TOMS
+    35(2), 2008, as LAPACK xGEQP3 does).
     """
     m, n = a.shape
     exponent = _binary_exponent(a)
-    cols = np.ldexp(a.T, -exponent, order="C")  # column j of A is row j
     yt = np.zeros((n, m))  # row j is reflector j, zero before entry j
     t = np.zeros((n, n))
     r = np.zeros((n, n), order="F")
+    if pivot:
+        # Row k holds column k of A, f[k, i] = reflector i . column k, the
+        # squared norm of the part of column k still left, and the floor
+        # below which that has cancelled; one swap moves them all.
+        work = np.zeros((n, m + n + 2))
+        cols, f = work[:, :m], work[:, m:m + n]
+        left, floor = work[:, m + n], work[:, m + n + 1]
+        np.ldexp(a.T, -exponent, out=cols)
+        left[:] = np.einsum("ij,ij->i", cols, cols)
+        np.multiply(left, _DOWNDATE_TOL, out=floor)
+        perm = list(range(n))
+    else:
+        cols = np.ldexp(a.T, -exponent, order="C")  # column j of A is row j
     for j in range(n):
+        if pivot:
+            p = j + int(left[j:].argmax())
+            if p != j:
+                work[[j, p]] = work[[p, j]]
+                perm[j], perm[p] = perm[p], perm[j]
         x = cols[j]
         if j:
-            x = x - yt[:j].T @ (t[:j, :j].T @ (yt[:j] @ x))
+            x = x - yt[:j].T @ (t[:j, :j].T @ (
+                f[j, :j] if pivot else yt[:j] @ x))
         r[:j + 1, j] = x[:j + 1]
         tail = x[j + 1:]
         x0, sigma = float(x[j]), float(tail @ tail)
@@ -245,7 +280,23 @@ def _householder_qr_arrays(a: np.ndarray):
         yt[j, j + 1:] = tail
         t[:j, j] = -tau * (t[:j, :j] @ (yt[:j, j:] @ yt[j, j:]))
         t[j, j] = tau
-    return np.ldexp(r, exponent), yt.T, t
+        if pivot and j + 1 < n:
+            f[j + 1:, j] = cols[j + 1:, j:] @ yt[j, j:]
+            # Row j of R: entry j of Q^T a_k = a_k - Y T^T Y^T a_k.
+            row = cols[j + 1:, j] - f[j + 1:, :j + 1] @ (
+                t[:j + 1, :j + 1] @ yt[:j + 1, j])
+            left[j + 1:] -= row * row
+            # A zero column stays out: 0 < 0 fails.
+            low = left[j + 1:] < floor[j + 1:]
+            if np.count_nonzero(low):
+                stale = j + 1 + np.flatnonzero(low)
+                rest = cols[stale] - (f[stale, :j + 1] @ t[:j + 1, :j + 1]) \
+                    @ yt[:j + 1]
+                rest = rest[:, j + 1:]
+                left[stale] = np.einsum("ij,ij->i", rest, rest)
+                floor[stale] = _DOWNDATE_TOL * left[stale]
+    r = np.ldexp(r, exponent)
+    return (r, yt.T, t, np.array(perm)) if pivot else (r, yt.T, t)
 
 
 def _reflect(y: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -279,41 +330,48 @@ def householder_qr(a: Matrix) -> QrResult:
 # One-sided Jacobi SVD
 
 
-# _thin_svd factors inputs with at least _QR_MIN_COLS columns and
-# _QR_MIN_RATIO times as many rows by QR first and sweeps only the n x n R
-# (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).  Alternating
-# runs of both paths on the same Gaussian matrices (9 per shape, median
-# time ratio of sweeps on A over the QR path, one BLAS thread): the QR,
-# its row sort and U = Q U_R cost more than they save at n = 3 for every
-# m up to 4096 (0.60-0.71x) and at n = 4 up to m = 2048 (0.80-0.95x);
-# from n = 5 they pay from m = 512-768 (n = 5: 0.95x at m = 384, 1.01x
-# at 512, 1.34x at 4096; n = 8: 0.96x at 512, 1.00x at 768; n = 10:
-# 1.13x at 768, 1.62x at 4096).  Wider inputs win sooner (n = 32: 1.05x
-# at m = 128, 1.84x at 1024), which m >= 96 n leaves to the sweeps on A.
-_QR_MIN_COLS = 5
-_QR_MIN_RATIO = 96
+# _thin_svd preconditions inputs with at least _QR_MIN_COLS columns and
+# at least _QR_MIN_SIZE entries: rows sorted, the pivoted QR A P = Q R,
+# then sweeps on the n x n X = R^T (Drmac & Veselic, SIAM J. Matrix Anal.
+# Appl. 29(4), 2008).  Alternating runs of both paths on the same Gaussian
+# matrices (3-5 per shape, median time of sweeps on A over the
+# preconditioned path, with U / without U, one BLAS thread): the QR, its
+# row sort and U = Q [J; 0] cost more than they save at n = 5 for every m
+# up to 5000 (0.58-0.74x / 0.69-0.88x) and at n = 6 up to m = 1000
+# (0.69-0.83x / 0.80-0.91x).  From n = 7 on they pay from m n = 3400-7000:
+# n = 7 0.83x at m = 600, 0.98x at 1000; n = 8 0.98x at 600, 1.10x at
+# 1000; n = 10 0.93x at 200, 1.00-1.04x at 400-600; n = 12 0.98x at 480,
+# 1.15x at 1000; n = 20 0.96x at 160; n = 30 0.92x at 120, 1.07x at 240;
+# n = 44 0.96x at 88, 1.13x at 176; n = 60 1.01x at 60, 1.15x at 120.
+# Every lib_small input (m n <= 1600) stays on A, where it is 5-10% faster.
+_QR_MIN_COLS = 7
+_QR_MIN_SIZE = 5000
 # _jacobi_sweeps rotates a whole round of disjoint pairs at once on inputs
 # with at least _ROUND_MIN_COLS columns, and pair by pair below that.
-# Alternating runs, per-pair time over round time, on R and on A from 2n
-# to 200n rows: n = 5 0.65-0.70x, n = 6 1.05-1.22x, n = 7 0.87-1.01x
-# (odd n sweeps a padding column), n = 8 1.34-1.59x, n = 10 1.47-1.81x.
-_ROUND_MIN_COLS = 8
+# Alternating runs on X = R^T of Gaussian m x n inputs, m from n to 40 n
+# (9 per width, median per-pair time over round time, with J / without):
+# n = 8 0.76x / 0.76x, n = 9 0.64x / 0.64x, n = 10 0.94x / 0.92x, n = 11
+# 0.78x / 0.76x (odd n sweeps a padding column), n = 12 1.14x / 1.10x,
+# n = 16 1.41x / 1.46x, n = 24 2.05x / 2.14x.
+_ROUND_MIN_COLS = 12
 
 
-def _jacobi_sweeps(w: np.ndarray, v: np.ndarray, on: str):
-    """One-sided Jacobi orthogonalization of the columns of ``w``.
+def _jacobi_sweeps(work: np.ndarray, m: int, on: str):
+    """One-sided Jacobi orthogonalization of the columns of a matrix W.
 
-    Rotates column pairs of ``w`` (and accumulates the same rotations in
-    ``v``) until every pair satisfies the relative orthogonality criterion.
-    Mutates both arguments in place.  Wide inputs sweep in round-robin
-    order, narrow ones pair by pair; both apply the same rotation rule.
-    ``on`` names the swept matrix ("A" or its "R") in a ConvergenceError,
-    which also reports the largest off-diagonal ratio left in ``w``.
+    ``work`` holds column k of W as the first m entries of its row k; the
+    rest of the row, if any, is column k of a matrix that accumulates the
+    same rotations.  Rotates pairs of rows in place until every pair of
+    columns of W satisfies the relative orthogonality criterion.  Wide
+    inputs sweep in round-robin order, narrow ones pair by pair; both
+    apply the same rotation rule.  ``on`` names the swept matrix ("A" or
+    "R^T") in a ConvergenceError, which also reports the largest
+    off-diagonal ratio left in W.
     """
-    path = "rounds" if w.shape[1] >= _ROUND_MIN_COLS else "pairs"
-    if (_jacobi_rounds if path == "rounds" else _jacobi_pairs)(w, v):
+    path = "rounds" if work.shape[0] >= _ROUND_MIN_COLS else "pairs"
+    if (_jacobi_rounds if path == "rounds" else _jacobi_pairs)(work, m):
         return
-    gram = w.T @ w
+    gram = work[:, :m] @ work[:, :m].T
     live = gram.diagonal() > _FLUSH2
     norms = np.sqrt(gram.diagonal()[live])
     ratio = np.abs(gram[np.ix_(live, live)]) / np.outer(norms, norms)
@@ -325,44 +383,51 @@ def _jacobi_sweeps(w: np.ndarray, v: np.ndarray, on: str):
         f"{JACOBI_OFFDIAG_TOL:g})")
 
 
-def _jacobi_pairs(w: np.ndarray, v: np.ndarray) -> bool:
-    """Cyclic sweeps: the pairs (i, j), i < j, one at a time in row order.
+def _tangent(alpha: float, beta: float, gamma: float) -> float:
+    """tan of the Jacobi rotation that makes columns with squared norms
+    alpha, beta and inner product gamma orthogonal.
+
+    t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)) with d = beta - alpha is
+    the smaller root of t^2 + 2 zeta t - 1 = 0, zeta = d / (2 gamma), that
+    is sign(zeta) / (|zeta| + sqrt(1 + zeta^2)) (Rutishauser), without
+    forming zeta: |t| <= 1 and hypot does not overflow.  ``_jacobi_rounds``
+    computes the same expression for a whole round at once.
+    """
+    d = beta - alpha
+    return 2.0 * gamma / (d + math.copysign(math.hypot(d, 2.0 * gamma), d))
+
+
+def _jacobi_pairs(work: np.ndarray, m: int) -> bool:
+    """Cyclic sweeps: the pairs (i, j), i < j, one at a time in row order,
+    each pair's inner products and rotation one matrix product apiece.
     Returns whether a sweep within the budget confirmed every pair."""
-    n = w.shape[1]
+    n = work.shape[0]
+    rot = np.empty((2, 2))
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for i in range(n - 1):
             for j in range(i + 1, n):
-                wi = w[:, i]
-                wj = w[:, j]
-                alpha = float(wi @ wi)
-                beta = float(wj @ wj)
-                if alpha <= _FLUSH2:
-                    w[:, i] = 0.0
-                    alpha = 0.0
-                if beta <= _FLUSH2:
-                    w[:, j] = 0.0
-                    beta = 0.0
-                gamma = float(wi @ wj)
+                pair = work[i:j + 1:j - i]  # rows i and j
+                w_pair = pair[:, :m]
+                (alpha, gamma), (_, beta) = (w_pair @ w_pair.T).tolist()
+                if alpha <= _FLUSH2 or beta <= _FLUSH2:
+                    # gamma of a flushed column is 0: the pair stays as is.
+                    if alpha <= _FLUSH2:
+                        w_pair[0] = 0.0
+                    if beta <= _FLUSH2:
+                        w_pair[1] = 0.0
+                    continue
                 # sqrt(a)*sqrt(b), not sqrt(a*b): the product can underflow.
                 bound = JACOBI_OFFDIAG_TOL * math.sqrt(alpha) * math.sqrt(beta)
                 if abs(gamma) <= bound:
                     continue
                 rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if abs(zeta) > 1e150:  # zeta**2 would overflow
-                    t = 0.5 / zeta
-                else:
-                    t = math.copysign(1.0, zeta) / (
-                        abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                t = _tangent(alpha, beta, gamma)
+                c = 1.0 / math.hypot(1.0, t)
                 s = c * t
-                wi = wi.copy()
-                w[:, i] = c * wi - s * wj
-                w[:, j] = s * wi + c * wj
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
+                rot[0, 0] = rot[1, 1] = c
+                rot[0, 1], rot[1, 0] = -s, s
+                pair[...] = rot @ pair
         if not rotated:
             return True
     return False
@@ -389,60 +454,57 @@ def _round_robin_shift(seats: int) -> np.ndarray:
     return d.reshape(-1)
 
 
-def _jacobi_rounds(w: np.ndarray, v: np.ndarray) -> bool:
+def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     """Round-robin sweeps (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1),
     1985): n-1 rounds of n/2 disjoint pairs, each round in a few numpy calls.
     Returns whether a sweep within the budget confirmed every pair.
 
-    Column k of ``w`` and of ``v`` are held side by side as one row of a
-    working array, with a zero row appended for odd n, such that rows 2k
-    and 2k+1 are pair k of the round; one matrix product rotates both.
-    Disjoint pairs commute, so a round is the same as rotating its pairs
-    one by one; a pair below the criterion gets t = 0, the identity.
-    Needs n >= 3.
+    The rows of ``work`` are reordered, with a zero row appended for odd
+    n, such that rows 2k and 2k+1 are pair k of the round; one matrix
+    product rotates them all.  Disjoint pairs commute, so a round is the
+    same as rotating its pairs one by one; a pair below the criterion gets
+    t = 0, the identity.  Needs n >= 3.
     """
-    m, n = w.shape
+    n, width = work.shape
     seats = n + n % 2
     h = seats // 2
-    # Column held by each row in the first round of every sweep.
+    # Row of ``work`` held by each row in the first round of every sweep.
     order = np.array([c for k in range(h) for c in (k, seats - 1 - k)])
     real = order < n
     shift = _round_robin_shift(seats)
-    rows, spare = np.zeros((seats, m + n)), np.empty((seats, m + n))
-    rows[real, :m] = w.T[order[real]]
-    rows[real, m:] = v.T[order[real]]
-    rot = np.empty((h, 2, 2))
+    rows, spare = np.zeros((seats, width)), np.empty((seats, width))
+    rows[real] = work[order[real]]
+    t = np.empty(h)
+    # [[1, -t], [t, 1]] per pair; dividing by hypot(1, t) makes it the
+    # rotation [[c, -s], [s, c]].
+    turn, rot = np.ones((h, 2, 2)), np.empty((h, 2, 2))
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for _ in range(seats - 1):
-            pairs = rows.reshape(h, 2, m + n)
-            w_pairs = pairs[:, :, :m]
-            squares = np.einsum("hkm,hkm->hk", w_pairs, w_pairs)
-            alpha, beta = squares[:, 0], squares[:, 1]
-            gamma = np.einsum("ij,ij->i", w_pairs[:, 0], w_pairs[:, 1])
+            w_rows = rows[:, :m]
+            squares = np.einsum("ij,ij->i", w_rows, w_rows)
+            gamma = np.einsum("ij,ij->i", w_rows[0::2], w_rows[1::2])
             if squares.min() <= _FLUSH2:
                 # A flushed column has gamma 0, which leaves its pair as is.
-                flush_left, flush_right = alpha <= _FLUSH2, beta <= _FLUSH2
-                pairs[flush_left, 0, :m] = 0.0
-                pairs[flush_right, 1, :m] = 0.0
-                gamma[flush_left | flush_right] = 0.0
-            active = np.abs(gamma) > (JACOBI_OFFDIAG_TOL * np.sqrt(alpha)
-                                      * np.sqrt(beta))
-            if active.any():
+                flush = squares <= _FLUSH2
+                w_rows[flush] = 0.0
+                gamma[flush[0::2] | flush[1::2]] = 0.0
+            norms = np.sqrt(squares)
+            active = np.abs(gamma) > JACOBI_OFFDIAG_TOL * (norms[0::2]
+                                                           * norms[1::2])
+            if np.count_nonzero(active):
                 rotated = True
-                zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros(h),
-                                 where=active)
-                huge = np.abs(zeta) > 1e150  # zeta**2 would overflow
-                z = np.where(huge, 0.0, zeta)
-                t = np.copysign(1.0, z) / (np.abs(z) + np.sqrt(1.0 + z * z))
-                np.divide(0.5, zeta, out=t, where=huge)
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                rot[:, 0, 0] = rot[:, 1, 1] = c
-                rot[:, 1, 0] = s
-                np.negative(s, out=rot[:, 0, 1])
-                np.matmul(rot, pairs, out=spare.reshape(h, 2, m + n))
+                # _tangent, pair by pair; inactive pairs keep t = 0.
+                d = squares[1::2] - squares[0::2]
+                g2 = gamma + gamma
+                den = d + np.copysign(np.hypot(d, g2), d)
+                t.fill(0.0)
+                np.divide(g2, den, out=t, where=active)
+                turn[:, 1, 0] = t
+                np.negative(t, out=turn[:, 0, 1])
+                np.divide(turn, np.hypot(1.0, t)[:, None, None], out=rot)
+                np.matmul(rot, rows.reshape(h, 2, width),
+                          out=spare.reshape(h, 2, width))
                 rows, spare = spare, rows
             # mode="clip" spares the buffered copy that "raise" makes for
             # ``out``; every index of ``shift`` is in range.
@@ -450,8 +512,7 @@ def _jacobi_rounds(w: np.ndarray, v: np.ndarray) -> bool:
             rows, spare = spare, rows
         if not rotated:
             break
-    w.T[order[real]] = rows[real, :m]
-    v.T[order[real]] = rows[real, m:]
+    work[order[real]] = rows[real]
     return not rotated
 
 
@@ -468,54 +529,79 @@ def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:
     return full
 
 
-def _apply_sign_rule(v: np.ndarray, u: np.ndarray) -> None:
+def _apply_sign_rule(v: np.ndarray, u) -> None:
     """In place: make the largest-magnitude entry (lowest index on ties) of
-    each column of ``v`` nonnegative, negating the paired ``u`` column."""
+    each column of ``v`` nonnegative, negating the paired ``u`` column
+    (if ``u`` is not None)."""
     if not v.size:
         return
     pivot = np.abs(v).argmax(axis=0)
     flip = v.T[np.arange(v.shape[1]), pivot] < 0.0
     if flip.any():
         v[:, flip] = -v[:, flip]
-        paired = flip[:u.shape[1]]
-        u[:, paired] = -u[:, paired]
+        if u is not None:
+            paired = flip[:u.shape[1]]
+            u[:, paired] = -u[:, paired]
 
 
-def _thin_svd(a: np.ndarray):
+def _thin_svd(a: np.ndarray, with_u: bool = True):
     """Thin SVD (u, s, v) of an m x n array with m >= n via one-sided Jacobi.
 
-    u is m x n, with zero columns for exactly zero singular values; signs
-    follow ``jacobi_svd``.  The solvers call this and never form an m x m U.
-    u and v are column-major like ``Matrix`` storage, so products with them
-    round as products with the public factors do.  An input with at least
-    _QR_MIN_COLS columns and _QR_MIN_RATIO times as many rows is first
-    factored, rows sorted, as QR; the sweeps then run on the n x n R and
-    U = Q U_R comes back through the reflectors.
+    u is m x n, or None unless ``with_u``; its columns for exactly zero
+    singular values are unspecified (zero, or any orthonormal completion).
+    Signs follow ``jacobi_svd``.  The solvers call this and never form an
+    m x m U.  u and v are column-major like ``Matrix`` storage, so
+    products with them round as products with the public factors do.
+
+    An input with at least _QR_MIN_COLS columns and _QR_MIN_SIZE entries
+    is preconditioned as Drmac & Veselic (SIAM J. Matrix Anal. Appl. 29(4),
+    2008) do: rows sorted, it is factored A P = Q R by the pivoted QR, and
+    the sweeps run on X = R^T.  X J = W with orthogonal columns gives
+    V = P W / sigma and, only when asked for, U = Q [J; 0].  Smaller
+    inputs are swept as they are.
     """
     m, n = a.shape
     # Scaling keeps squared column norms away from overflow and underflow.
     exponent = _binary_exponent(a)
-    on_r = n >= _QR_MIN_COLS and m >= _QR_MIN_RATIO * n
+    on_r = n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
     if on_r:
         # Rows in decreasing max-norm order keep the QR accurate on rows of
         # very different scales (Cox & Higham, BIT 38(1), 1998).
         rows = np.argsort(-np.abs(a).max(axis=1))
-        w = a[rows]  # scaled in place, and freed once R replaces it
-        w, y, t = _householder_qr_arrays(np.ldexp(w, -exponent, out=w))
+        work = a[rows]  # scaled in place, and freed once R replaces it
+        r, y, t, perm = _householder_qr_arrays(
+            np.ldexp(work, -exponent, out=work), pivot=True)
+        # Row k: column k of X = R^T (row k of R), then column k of J.
+        work = np.hstack([r, np.eye(n)]) if with_u else np.ascontiguousarray(r)
+        swept = n
     else:
-        w = np.ldexp(a, -exponent)
-    v = np.eye(n, order="F")
-    _jacobi_sweeps(w, v, "R" if on_r else "A")
-    norms = np.sqrt(np.einsum("ij,ij->j", w, w))
+        # Row k: column k of A, then column k of V.
+        work = np.empty((n, m + n))
+        np.ldexp(a.T, -exponent, out=work[:, :m])
+        work[:, m:] = np.eye(n)
+        swept = m
+    _jacobi_sweeps(work, swept, "R^T" if on_r else "A")
+    w = work[:, :swept]
+    norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+    # Columns of W over sigma; a zero column stays zero.
+    np.divide(w, norms[:, None], out=w, where=norms[:, None] > 0.0)
     order = np.argsort(-norms, kind="stable")
     scaled = norms[order]
-    v = np.asfortranarray(v[:, order])
-    u = np.zeros(w.shape, order="F")  # U, or U_R
-    np.divide(w[:, order], scaled, out=u, where=scaled > 0.0)
-    _apply_sign_rule(v, u)
+    # Fancy-indexed rows, transposed: column-major factors.
     if on_r:
-        u_r, u = u, np.empty((m, n), order="F")
-        u[rows] = _reflect(y, t, u_r)  # Q [U_R; 0]
+        v = work[order, :n].T
+        live = int(np.count_nonzero(scaled))
+        if live < n:  # zero columns of W leave zero columns of V
+            v = np.asfortranarray(_complete_orthonormal(v[:, :live], n))
+        v[perm] = v.copy()
+        u = work[order, n:].T if with_u else None  # J
+    else:
+        v = work[order, m:].T
+        u = work[order, :m].T if with_u else None
+    _apply_sign_rule(v, u)
+    if on_r and with_u:
+        j, u = u, np.empty((m, n), order="F")
+        u[rows] = _reflect(y, t, j)  # Q [J; 0]
     return u, _ldexp_in_range(scaled, exponent, "singular values"), v
 
 
@@ -526,11 +612,12 @@ def jacobi_svd(a: Matrix) -> SvdResult:
     deterministic: in each column of V the entry of largest magnitude
     (lowest index on ties) is nonnegative, with the paired U column
     negated to compensate.  The thin factorization of A (or of A^T when
-    A is wide) is completed to square factors.
+    A is wide) is completed to square factors from the columns of its
+    nonzero singular values.
     """
     tall = a.rows >= a.cols
     u, s, v = _thin_svd(a.array if tall else a.array.T)
-    nonzero = int(np.count_nonzero(u.any(axis=0)))
+    nonzero = int(np.count_nonzero(s))
     full = _complete_orthonormal(u[:, :nonzero], u.shape[0])
     if tall:
         return SvdResult(u=Matrix(full), sigma=Vector(s), v=Matrix(v))

@@ -21,7 +21,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .linalg import (Matrix, Vector, _binary_exponent, _householder_qr_arrays,
-                     _pinv, _rank, _reflect, _thin_svd)
+                     _ldexp_in_range, _pinv, _rank, _reflect, _thin_svd)
 from .tolerances import CHOLESKY_PD_TOL, RANK_REL_TOL
 
 __all__ = ["Method", "OlsSolution", "mean_1d", "simple_regression", "solve_ols"]
@@ -87,30 +87,31 @@ def simple_regression(x: Vector, y: Vector) -> OlsSolution:
     residual = ys - a - b * xs
     return OlsSolution(
         coefficients=Vector(np.ldexp([a, b], exponents)),
-        residual_norm=float(np.ldexp(_norm(residual), ey)),
+        residual_norm=_norm(residual, ey),
         method=Method.CLOSED_FORM,
         rank_deficient=False,
     )
 
 
-def _norm(r: np.ndarray) -> float:
-    """||r||_2, computed on r scaled by an exact power of two so that the
-    squares neither overflow nor underflow."""
+def _norm(r: np.ndarray, scale: int = 0) -> float:
+    """||r||_2 * 2^scale, computed on r divided by an exact power of two so
+    that the squares neither overflow nor underflow; RangeError when it is
+    beyond the float range."""
     exponent = _binary_exponent(r)
-    return float(np.ldexp(np.linalg.norm(np.ldexp(r, -exponent)), exponent))
+    return float(_ldexp_in_range(np.linalg.norm(np.ldexp(r, -exponent)),
+                                 exponent + scale, "residual norm"))
 
 
 def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve A^T A c = A^T y by Cholesky, or flag rank deficiency.
 
-    A and y are first divided by exact powers of two, which keeps the Gram
-    matrix finite and nonzero.  A pivot at or below CHOLESKY_PD_TOL times
-    the largest initial diagonal entry means the Gram matrix is not
-    numerically positive definite; the error reports that ratio, which
-    does not depend on A's scale, with its threshold.
+    A and y come divided by exact powers of two (largest entries in
+    [0.5, 1)), which keeps the Gram matrix finite and nonzero.  A pivot at
+    or below CHOLESKY_PD_TOL times the largest initial diagonal entry
+    means the Gram matrix is not numerically positive definite; the error
+    reports that ratio, which does not depend on A's scale, with its
+    threshold.
     """
-    ea, ey = _binary_exponent(a), _binary_exponent(y)
-    a, y = np.ldexp(a, -ea), np.ldexp(y, -ey)
     gram, rhs = a.T @ a, a.T @ y
     n = gram.shape[0]
     scale = float(gram.diagonal().max(initial=0.0))
@@ -130,7 +131,7 @@ def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = np.zeros(n)
     for i in range(n):
         z[i] = (rhs[i] - low[i, :i] @ z[:i]) / low[i, i]
-    return np.ldexp(_solve_upper(low.T, z), ey - ea)
+    return _solve_upper(low.T, z)
 
 
 def _solve_upper(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -147,7 +148,10 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
 
     Normal equations and QR require full column rank and raise
     RankDeficiencyError otherwise; the SVD method always succeeds and
-    returns the minimum-norm minimizer, flagging rank deficiency.
+    returns the minimum-norm minimizer, flagging rank deficiency.  Every
+    method solves and forms the residual on A and y each divided by an
+    exact power of two; RangeError means that a coefficient, a singular
+    value or the residual norm is beyond the float range.
     """
     if a.rows < a.cols:
         raise DimensionError(
@@ -158,30 +162,36 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
     if method is Method.CLOSED_FORM:
         raise ValueError(
             "solve_ols: the closed form applies only to simple_regression")
-    arr = a.array
-    ys = y.array
-    rank_deficient = False
-    sigma = None
-    if method is Method.NORMAL_EQUATIONS:
-        c = _normal_equations(arr, ys)
-    elif method is Method.QR:
-        r, q_y, q_t = _householder_qr_arrays(arr)
-        diag = np.abs(r.diagonal())
-        if a.cols and diag.min() <= RANK_REL_TOL * diag.max():
-            raise RankDeficiencyError(
-                "qr: triangular factor has a negligible diagonal entry")
-        c = _solve_upper(r, _reflect(q_y, q_t.T, ys)[:a.cols])
-    elif method is Method.SVD:
-        u, s, v = _thin_svd(arr)
-        rank_deficient = _rank(s) < a.cols
-        sigma = Vector(s)
-        c = _pinv(u, s, v, ys)
-    else:
-        raise ValueError(f"solve_ols: unknown method {method!r}")
+    ea, ey = _binary_exponent(a.array), _binary_exponent(y.array)
+    ys = np.ldexp(y.array, -ey)
+    c, rank_deficient, sigma = _scaled_solution(a.array, ea, ys, method)
+    residual = np.ldexp(a.array, -ea) @ c - ys
     return OlsSolution(
-        coefficients=Vector(c),
-        residual_norm=_norm(arr @ c - ys),
+        coefficients=Vector(_ldexp_in_range(c, ey - ea, "coefficients")),
+        residual_norm=_norm(residual, ey),
         method=method,
         rank_deficient=rank_deficient,
         sigma=sigma,
     )
+
+
+def _scaled_solution(a: np.ndarray, ea: int, ys: np.ndarray, method: Method):
+    """(c_s, rank_deficient, sigma) by ``method``: c_s = 2^(ea - ey) c is
+    the solution for A divided by 2^ea and y by 2^ey (``ys``), and sigma
+    the singular values of A for the SVD method, else None.  The factors
+    are freed on return, before the caller forms the residual."""
+    if method is Method.NORMAL_EQUATIONS:
+        return _normal_equations(np.ldexp(a, -ea), ys), False, None
+    if method is Method.QR:
+        r, q_y, q_t = _householder_qr_arrays(a)
+        diag = np.abs(r.diagonal())
+        if a.shape[1] and diag.min() <= RANK_REL_TOL * diag.max():
+            raise RankDeficiencyError(
+                "qr: triangular factor has a negligible diagonal entry")
+        rhs = _reflect(q_y, q_t.T, ys)[:a.shape[1]]
+        return _solve_upper(np.ldexp(r, -ea), rhs), False, None
+    if method is Method.SVD:
+        u, s, v = _thin_svd(a)
+        return (_pinv(u, np.ldexp(s, -ea), v, ys), _rank(s) < a.shape[1],
+                Vector(s))
+    raise ValueError(f"solve_ols: unknown method {method!r}")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NoTlsSolutionError
-from .linalg import Matrix, Vector, _ldexp_in_range, _thin_svd, _truncate
+from .linalg import (Matrix, Vector, _binary_exponent, _ldexp_in_range,
+                     _thin_svd, _truncate)
 from .tolerances import EXISTENCE_TOL, GAP_TOL
 
 __all__ = ["TlsSystemSolution", "augment", "solve_tls_system", "tls_objective"]
@@ -44,16 +45,18 @@ def augment(a: Matrix, b: Vector) -> Matrix:
     return Matrix(np.column_stack([a.array, -b.array]))
 
 
-def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
+def _tls_split(c: np.ndarray, n: int, exponent: int = 0,
+               with_u: bool = True):
     """SVD of C = (A | B) split after column n, and X = -V12 V22^{-1}.
 
     ``c`` holds C scaled by 2^-exponent.  Returns ((u, s, v), x,
     null_vector, s22, unique): (u, s, v) is the thin SVD of C, s at the
-    scale of C; x is None when s22, the smallest singular value of V22, is
-    at most EXISTENCE_TOL; null_vector is V[:, n:] times its right
-    singular vector; unique is the gap test at column n.
+    scale of C, and u is None unless ``with_u``; x is None when s22, the
+    smallest singular value of V22, is at most EXISTENCE_TOL; null_vector
+    is V[:, n:] times its right singular vector; unique is the gap test
+    at column n.
     """
-    u, s, v = _thin_svd(np.asfortranarray(c))
+    u, s, v = _thin_svd(c, with_u)
     if exponent:
         s = _ldexp_in_range(s, exponent, "singular values")
     u22, s22, v22 = _thin_svd(v[n:, n:])
@@ -64,10 +67,10 @@ def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
     return (u, s, v), x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
 
 
-def _split_or_raise(c: np.ndarray, n: int):
+def _split_or_raise(c: np.ndarray, n: int, with_u: bool = True):
     """``_tls_split`` of C after column n, raising NoTlsSolutionError, with
     s22 and its threshold, when X does not exist."""
-    factors, x, null_vector, s22, unique = _tls_split(c, n)
+    factors, x, null_vector, s22, unique = _tls_split(c, n, with_u=with_u)
     if x is None:
         raise NoTlsSolutionError(
             "no TLS solution: the trailing block of the right singular "
@@ -108,6 +111,10 @@ def tls_objective(a: Matrix, b: Vector, c: Vector) -> float:
 
     Equals the sum of squared true distances from the rows of (A | -b)
     to the subspace orthogonal to (c; 1); zero iff A c = b exactly.
+    (A | b), (c; 1) and the residual are each divided by an exact power
+    of two before anything is squared, so scaling A and b by 2^k scales
+    the value by exactly 2^(2k) while it is a normal float; RangeError
+    means that it is beyond the float range.
     """
     if c.len != a.cols:
         raise DimensionError(
@@ -115,5 +122,13 @@ def tls_objective(a: Matrix, b: Vector, c: Vector) -> float:
     if b.len != a.rows:
         raise DimensionError(
             f"tls_objective: b has length {b.len}, expected {a.rows}")
-    residual = a.array @ c.array - b.array
-    return float((residual @ residual) / (1.0 + c.array @ c.array))
+    e = max(_binary_exponent(a.array), _binary_exponent(b.array))
+    z = np.append(c.array, 1.0)
+    z = np.ldexp(z, -_binary_exponent(z))
+    # 2^-(e + ez) times the residual, ez the exponent that z came from.
+    residual = (np.ldexp(a.array, -e) @ z[:-1]
+                - np.ldexp(b.array, -e) * z[-1])
+    er = _binary_exponent(residual)
+    residual = np.ldexp(residual, -er)
+    ratio = float(residual @ residual) / float(z @ z)
+    return float(_ldexp_in_range(ratio, 2 * (e + er), "objective"))

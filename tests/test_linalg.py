@@ -23,9 +23,9 @@ from tlsfit import (
     solve_tls_system,
 )
 from tlsfit import linalg
-from tlsfit.linalg import (_QR_MIN_COLS, _QR_MIN_RATIO, _ROUND_MIN_COLS,
-                           _jacobi_pairs, _jacobi_rounds, _pinv, _thin_svd,
-                           _truncate)
+from tlsfit.linalg import (_QR_MIN_COLS, _QR_MIN_SIZE, _ROUND_MIN_COLS,
+                           _jacobi_pairs, _jacobi_rounds, _pinv, _tangent,
+                           _thin_svd, _truncate)
 from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
 from oracles import sym_eigen_closed_form
 
@@ -244,12 +244,12 @@ def test_svd_invariants_hypothesis(a):
 
 
 @st.composite
-def lapack_cases(draw, max_cols=40, min_ratio=1, max_ratio=3):
+def lapack_cases(draw, max_cols=40, min_ratio=1, max_ratio=3, min_cols=1):
     """Tall m x n Gaussian matrices with column scales over one decade, n
     on both sides of the round-robin cutoff; a quarter each with a zero
     column, a duplicated column, or a column whose squared norm the
     sweeps flush to zero."""
-    n = draw(st.integers(1, max_cols))
+    n = draw(st.integers(min_cols, max_cols))
     m = draw(st.integers(min_ratio * n, max_ratio * n))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0, n)
@@ -282,14 +282,10 @@ def test_svd_matches_lapack(a):
                        np.linalg.norm(v[:, k] + vt_ref[k])) <= 1e-8
 
 
-@settings(max_examples=40, deadline=None)
-@given(a=lapack_cases(max_cols=24, min_ratio=_QR_MIN_RATIO,
-                      max_ratio=2 * _QR_MIN_RATIO))
-def test_tall_svd_matches_lapack(a):
-    """LAPACK differential on inputs tall enough that from _QR_MIN_COLS
-    columns on the sweeps run on R: sigma within 1e-13 sigma_1, right
-    singular vectors of isolated singular values equal up to sign, and
-    the U columns of nonzero singular values orthonormal to 1e-13."""
+def _check_thin_svd_against_lapack(a):
+    """sigma within 1e-13 sigma_1 of np.linalg.svd, right singular vectors
+    of isolated singular values equal up to sign, and the U columns of
+    nonzero singular values orthonormal to 1e-13."""
     _, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
     gaps = np.abs(np.diff(s_ref, prepend=np.inf, append=np.inf))
     isolated = np.minimum(gaps[:-1], gaps[1:]) > 1e-6 * s_ref[0]
@@ -302,12 +298,30 @@ def test_tall_svd_matches_lapack(a):
     assert np.linalg.norm(live.T @ live - np.eye(live.shape[1])) <= 1e-13
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=lapack_cases(max_cols=24, min_ratio=96, max_ratio=2 * 96))
+def test_tall_svd_matches_lapack(a):
+    """LAPACK differential on inputs 96-192 times as tall as wide; those
+    with at least _QR_MIN_COLS columns and _QR_MIN_SIZE entries take the
+    preconditioner."""
+    _check_thin_svd_against_lapack(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=lapack_cases(min_cols=16, max_cols=48, min_ratio=4, max_ratio=20))
+def test_wide_aspect_svd_matches_lapack(a):
+    """LAPACK differential at the aspect ratios of the lib_wide benchmark,
+    m = 4n-20n with n = 16-48, where sweeps on A (m n < _QR_MIN_SIZE)
+    and on R^T (the rest) both run."""
+    _check_thin_svd_against_lapack(a)
+
+
 def test_preconditioned_u_is_orthonormal():
-    """U = Q U_R keeps U orthonormal to rounding even where sigma falls to
-    1e-11 sigma_1, a value the rank rule keeps; recovering U as
+    """U = Q [J; 0] keeps U orthonormal to rounding even where sigma falls
+    to 1e-11 sigma_1, a value the rank rule keeps; recovering U as
     A V Sigma^-1 instead loses about 1e-5 there."""
     m, n = 2000, 10
-    assert n >= _QR_MIN_COLS and m >= _QR_MIN_RATIO * n
+    assert n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
     rng = np.random.default_rng(80)
     q, _ = np.linalg.qr(rng.standard_normal((m, n)))
     p, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -318,10 +332,78 @@ def test_preconditioned_u_is_orthonormal():
     assert np.linalg.norm((u * s) @ v.T - a) <= 1e-14 * s[0]
 
 
+@pytest.mark.parametrize("zeros", [[3], [2, 5]])
+def test_zero_singular_values_complete_v(zeros):
+    """Exactly zero columns of A give exactly zero singular values.  On
+    both paths (800 x 10 preconditioned, 40 x 6 swept as it is), with U
+    or without, V is orthogonal and its zero-sigma columns span null(A);
+    jacobi_svd's square factors stay valid."""
+    rng = np.random.default_rng(84 + len(zeros))
+    for m, n in ((800, 10), (40, 6)):
+        a = rng.standard_normal((m, n))
+        a[:, zeros] = 0.0
+        live = n - len(zeros)
+        for with_u in (True, False):
+            u, s, v = _thin_svd(a, with_u)
+            assert (u is not None) == with_u
+            assert np.count_nonzero(s) == live
+            assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-13
+            null = v[:, live:]
+            assert np.linalg.norm(a @ null) <= 1e-14 * np.linalg.norm(a)
+            assert np.linalg.matrix_rank(null) == len(zeros)
+        assert_svd_invariants(a, jacobi_svd(Matrix(a)))
+
+
+def test_tangent_matches_the_zeta_form():
+    """The rotation's t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)) agrees
+    to 4 ulps with Rutishauser's sign(zeta) / (|zeta| + sqrt(1 + zeta^2)),
+    zeta = (beta - alpha) / (2 gamma), and with 1 / (2 zeta) where
+    |zeta| > 1e150 would overflow zeta^2: over random alpha, beta and
+    |gamma| <= sqrt(alpha beta), over gamma just above the criterion, and
+    over |zeta| up to 1e200."""
+    def zeta_form(alpha, beta, gamma):
+        zeta = (beta - alpha) / (2.0 * gamma)
+        if abs(zeta) > 1e150:
+            return 0.5 / zeta
+        return math.copysign(1.0, zeta) / (abs(zeta)
+                                           + math.sqrt(1.0 + zeta * zeta))
+
+    rng = np.random.default_rng(85)
+    cases = []
+    for _ in range(2000):
+        alpha, beta = 10.0 ** rng.uniform(-150, 2, 2)
+        bound = math.sqrt(alpha) * math.sqrt(beta)
+        cases.append((alpha, beta, bound * rng.uniform(-1.0, 1.0)))
+        cases.append((alpha, beta, JACOBI_OFFDIAG_TOL * bound
+                      * (1.0 + 1e-9 * rng.uniform())))
+        cases.append((1.0, 1.0 + 10.0 ** rng.uniform(-15, 0),
+                      10.0 ** -rng.uniform(150, 200)))
+    huge = 0
+    for alpha, beta, gamma in cases:
+        expected = zeta_form(alpha, beta, gamma)
+        huge += abs((beta - alpha) / (2.0 * gamma)) > 1e150
+        assert abs(_tangent(alpha, beta, gamma) - expected) \
+            <= 4 * np.spacing(abs(expected))
+    assert huge > 100
+
+
 def _pair_sweep_sigma(a):
-    w, v = np.array(a, order="F"), np.eye(a.shape[1])
-    _jacobi_pairs(w, v)
-    return np.sort(np.linalg.norm(w, axis=0))[::-1]
+    work = np.array(a.T)
+    _jacobi_pairs(work, a.shape[0])
+    return np.sort(np.linalg.norm(work, axis=1))[::-1]
+
+
+def _graded_shapes(rng):
+    """Six draws 96-192 times as tall as wide with n = 5-16, most of them
+    preconditioned, then four preconditioned ones at the lib_wide aspect
+    ratios, m = 4n-20n with n = 24-40."""
+    for _ in range(6):
+        n = int(rng.integers(5, 17))
+        yield int(rng.integers(96 * n, 2 * 96 * n)), n
+    for _ in range(4):
+        n = int(rng.integers(24, 41))
+        m = int(rng.integers(max(4 * n, -(-_QR_MIN_SIZE // n)), 20 * n + 1))
+        yield m, n
 
 
 @pytest.mark.parametrize("grading", ["columns", "rows"])
@@ -329,12 +411,11 @@ def test_preconditioned_sweeps_keep_relative_accuracy(grading):
     """Demmel & Veselic (SIAM J. Matrix Anal. Appl. 13(4), 1992): one-sided
     Jacobi on A = B D (columns scaled down to 1e-30) or A = D B (rows
     scaled from 1 to 1e-30, in random order) gets every singular value to
-    high relative accuracy.  Sweeping the R of A instead agrees with the
-    per-pair sweeps on A itself to 1e-13 relative on every sigma."""
+    high relative accuracy.  Sweeping R^T of the pivoted QR instead
+    agrees with the per-pair sweeps on A itself to 1e-13 relative on
+    every sigma."""
     rng = np.random.default_rng(81 if grading == "columns" else 82)
-    for _ in range(6):
-        n = int(rng.integers(_QR_MIN_COLS, 17))
-        m = int(rng.integers(_QR_MIN_RATIO * n, 2 * _QR_MIN_RATIO * n))
+    for m, n in _graded_shapes(rng):
         b = rng.standard_normal((m, n))
         if grading == "columns":
             a = b * np.geomspace(1.0, 1e-30, n)[rng.permutation(n)]
@@ -347,25 +428,24 @@ def test_preconditioned_sweeps_keep_relative_accuracy(grading):
 
 def test_preconditioned_sweeps_on_steeply_row_graded_input():
     """Rows graded from 1 to 1e-30 over the first n rows, all others at
-    1e-33, in random order.  Sorting the rows before the QR keeps the
-    smallest singular values to about 1e-12 relative of the per-pair
-    sweeps on A (without it they are off by 1e12 relative); reaching the
-    per-pair accuracy here needs column pivoting in the QR."""
+    1e-33, in random order.  With the rows sorted before the QR, column
+    pivoting keeps even the smallest singular values to 1e-13 relative of
+    the per-pair sweeps on A; the same QR without pivoting reached only
+    about 1e-12 here, and without the row sort it is off by 1e12."""
     rng = np.random.default_rng(83)
-    for _ in range(6):
-        n = int(rng.integers(_QR_MIN_COLS, 17))
-        m = int(rng.integers(_QR_MIN_RATIO * n, 2 * _QR_MIN_RATIO * n))
+    for m, n in _graded_shapes(rng):
         scale = np.concatenate([np.geomspace(1.0, 1e-30, n),
                                 np.full(m - n, 1e-33)])
         a = (rng.standard_normal((m, n)) * scale[:, None])[rng.permutation(m)]
         np.testing.assert_allclose(_thin_svd(a)[1], _pair_sweep_sigma(a),
-                                   rtol=1e-11, atol=0)
+                                   rtol=1e-13, atol=0)
 
 
-# Both sides of the round-robin cutoff, plus widths 10-16 well inside it.
-@pytest.mark.parametrize("n", sorted({_ROUND_MIN_COLS - 2, _ROUND_MIN_COLS - 1,
+# Widths 6-13 and 16, which cover both sides of the round-robin cutoff.
+@pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16,
+                                      _ROUND_MIN_COLS - 2, _ROUND_MIN_COLS - 1,
                                       _ROUND_MIN_COLS, _ROUND_MIN_COLS + 1,
-                                      _ROUND_MIN_COLS + 4, 10, 11, 12, 13, 16}))
+                                      _ROUND_MIN_COLS + 4}))
 def test_round_robin_sweeps_match_per_pair_loop(n):
     """On the same matrices, the per-pair loop and the batched rounds both
     leave every column pair within JACOBI_OFFDIAG_TOL, accumulate their
@@ -381,8 +461,9 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
         a = rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0, n)
         sigmas = []
         for sweeps in (_jacobi_pairs, _jacobi_rounds):
-            w, v = np.array(a, order="F"), np.eye(n)
-            sweeps(w, v)
+            work = np.hstack([a.T, np.eye(n)])
+            sweeps(work, m)
+            w, v = work[:, :m].T, work[:, m:].T
             norms = np.linalg.norm(w, axis=0)
             bound = (JACOBI_OFFDIAG_TOL * np.outer(norms, norms)
                      + 2 * m * unit_roundoff * (np.abs(w).T @ np.abs(w)))
@@ -394,15 +475,16 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
 
 
 SWEEP_PATHS = {(60, 30): "rounds on A", (20, 4): "pairs on A",
-               (1000, 10): "rounds on R"}
+               (1000, 10): "pairs on R^T", (200, 40): "rounds on R^T"}
 
 
 @pytest.mark.parametrize("shape", list(SWEEP_PATHS))
 def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     """One sweep cannot confirm a Gaussian matrix, on any path: 60 x 30
-    sweeps A in rounds, 20 x 4 sweeps A pair by pair and 1000 x 10 sweeps
-    its R in rounds.  The error names the path and the largest
-    off-diagonal ratio left, next to the tolerance."""
+    sweeps A in rounds, 20 x 4 sweeps A pair by pair, 1000 x 10 sweeps
+    R^T pair by pair and 200 x 40 sweeps R^T in rounds.  The error names
+    the path and the largest off-diagonal ratio left, next to the
+    tolerance."""
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     a = np.random.default_rng(70).standard_normal(shape)
     with pytest.raises(ConvergenceError) as info:

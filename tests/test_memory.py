@@ -3,7 +3,7 @@
 On a 20000 x 3 problem a single m x m float array is 3.2 GB, so each
 solver path's tracemalloc peak bounds the factors it asked for.  The
 20000 x 20 problem takes the QR-preconditioned SVD, whose reflectors, R
-and U = Q U_R are each at most one m x n array.
+and U = Q [J; 0] are each at most one m x n array.
 """
 import tracemalloc
 
@@ -24,7 +24,7 @@ from tlsfit import (
 
 ROWS = 20000
 PEAK_BOUND = 16 << 20
-# 20000 x 20: peaks measured 2.2 (ols_qr) to 5.3 (tls_fixed) m n doubles.
+# 20000 x 20: peaks measured 2.2 (ols_qr) to 4.5 (tls_fixed) m n doubles.
 WIDE_COLS = 20
 WIDE_PEAK_BOUND = 8 * ROWS * WIDE_COLS * 8
 

@@ -10,6 +10,7 @@ from tlsfit import (
     EmptyDataError,
     Matrix,
     Method,
+    RangeError,
     RankDeficiencyError,
     Vector,
     householder_qr,
@@ -223,9 +224,9 @@ def test_power_of_two_scaling_is_exact(i, j):
     qr, scaled_qr = householder_qr(Matrix(a)), householder_qr(scaled_a)
     assert np.array_equal(scaled_qr.q.array, qr.q.array)
     assert np.array_equal(scaled_qr.r_upper.array, np.ldexp(qr.r_upper.array, i))
-    # A tall A, whose SVD sweeps the R of its QR.
-    tall = rng.standard_normal((600, 6)) * np.arange(1.0, 7.0)
-    tall_y = tall @ np.arange(1.0, 7.0) + 0.1 * rng.standard_normal(600)
+    # A tall A, whose SVD sweeps R^T of its pivoted QR.
+    tall = rng.standard_normal((800, 8)) * np.arange(1.0, 9.0)
+    tall_y = tall @ np.arange(1.0, 9.0) + 0.1 * rng.standard_normal(800)
     for method in (Method.QR, Method.SVD):
         base = solve_ols(Matrix(tall), Vector(tall_y), method)
         sol = solve_ols(Matrix(np.ldexp(tall, i)),
@@ -233,6 +234,21 @@ def test_power_of_two_scaling_is_exact(i, j):
         assert np.array_equal(sol.coefficients.array,
                               np.ldexp(base.coefficients.array, j - i)), method
         assert sol.residual_norm == math.ldexp(base.residual_norm, j), method
+
+
+@pytest.mark.parametrize("method", [Method.NORMAL_EQUATIONS, Method.QR,
+                                    Method.SVD])
+def test_results_near_the_float_limit(method):
+    """Every method solves and forms the residual on A and y divided by
+    powers of two: y near 1e308 fits, and a residual norm beyond the
+    float range (sqrt(6) 1e308 here) raises RangeError, never inf."""
+    a = Matrix([[1.0], [1.0], [1.0]])
+    sol = solve_ols(a, Vector([1.0e308, 1.2e308, 1.1e308]), method)
+    assert sol.coefficients[0] == pytest.approx(1.1e308, rel=1e-15)
+    assert sol.residual_norm == pytest.approx(math.sqrt(2) * 1e307,
+                                              rel=1e-14)
+    with pytest.raises(RangeError, match="residual norm"):
+        solve_ols(a, Vector([1.5e308, -1.5e308, 1.5e308]), method)
 
 
 def test_cholesky_pivot_report_is_scale_free():

@@ -10,6 +10,7 @@ from tlsfit import (
     Matrix,
     Method,
     NoTlsSolutionError,
+    RangeError,
     Vector,
     augment,
     solve_ols,
@@ -198,6 +199,40 @@ def test_zero_column_never_gives_silent_answer():
         except NoTlsSolutionError:
             continue
         assert not sol.unique
+
+
+def test_objective_scales_exactly_by_powers_of_two():
+    """tls_objective squares only values divided by exact powers of two:
+    scaling A and b by 2^k scales it by exactly 2^(2k), also for
+    coefficients near 1e200 whose squares overflow, and an 8 x 2 system
+    at 1e160 raises RangeError instead of returning inf."""
+    rng = np.random.default_rng(69)
+    a, b = rng.standard_normal((8, 2)), rng.standard_normal(8)
+    for c in (rng.standard_normal(2), 1e200 * rng.standard_normal(2)):
+        base = tls_objective(Matrix(a), Vector(b), Vector(c))
+        assert 0.0 < base < np.inf
+        for k in (-500, 300, 500):
+            scaled = tls_objective(Matrix(np.ldexp(a, k)),
+                                   Vector(np.ldexp(b, k)), Vector(c))
+            assert scaled == math.ldexp(base, 2 * k)
+    with pytest.raises(RangeError, match="objective"):
+        tls_objective(Matrix(1e160 * a), Vector(1e160 * b), Vector(c))
+
+
+def test_readme_null_vector_after_the_sign_rule():
+    """The README's system with no TLS solution reports the null vector
+    (0, 1, 0) exactly, sign included; a 900 x 8 system with an exactly
+    zero column, which the preconditioned SVD takes, reports that
+    column's unit vector the same way."""
+    with pytest.raises(NoTlsSolutionError) as info:
+        solve_tls_system(Matrix([[1, 0], [0, 0], [0, 0]]), Vector([1, 1, 1]))
+    assert info.value.null_vector.array.tolist() == [0.0, 1.0, 0.0]
+    rng = np.random.default_rng(70)
+    a = rng.standard_normal((900, 8))
+    a[:, 3] = 0.0
+    with pytest.raises(NoTlsSolutionError) as info:
+        solve_tls_system(Matrix(a), Vector(rng.standard_normal(900)))
+    assert info.value.null_vector.array.tolist() == np.eye(9)[3].tolist()
 
 
 def test_objective_dimension_checks():
