@@ -14,8 +14,9 @@ _QR_MIN_SIZE entries sorts its rows, factors A P = Q R with pivoting and
 sweeps only the n x n R^T (Drmac & Veselic); V comes from the swept
 columns, and U = Q [J; 0], J the accumulated rotations, only for callers
 that read U.  Smaller inputs are swept as they are.  The sweeps rotate a
-round of disjoint pairs at once from _ROUND_MIN_COLS columns on, and one
-pair at a time below; both compute the rotation as
+round of disjoint pairs at once from _ROUND_MIN_COLS columns on, taking
+the rotations of a round with few pairs on floats, and sweep two or three
+columns one pair at a time; all compute the rotation as
 t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
 
 Arrays inside, containers at the public boundary: public functions take
@@ -215,7 +216,8 @@ _FLUSH2 = 1e-200
 _DOWNDATE_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
+def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
+                           exponent: int | None = None):
     """QR of an m x n array (m >= n) by Householder reflections.
 
     Returns (r, y, t): r is the n x n upper-triangular factor, and the
@@ -227,7 +229,9 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
     (left-looking), then yields reflector j, v = x + sign(x_1) |x| e_1,
     which makes R_jj = -sign(x_1) |x|; ``householder_qr`` turns the
     diagonal nonnegative.  The work runs on A scaled by an exact power of
-    two, so R scales exactly with A and Y and T do not depend on its scale.
+    two, so R scales exactly with A and Y and T do not depend on its scale;
+    a caller that has already taken ``_binary_exponent(a)`` passes it as
+    ``exponent``.
 
     With ``pivot`` the next column is always the one of largest remaining
     norm (Businger & Golub, Numer. Math. 7, 1965), A P = Q R, and a fourth
@@ -238,7 +242,8 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
     35(2), 2008, as LAPACK xGEQP3 does).
     """
     m, n = a.shape
-    exponent = _binary_exponent(a)
+    if exponent is None:
+        exponent = _binary_exponent(a)
     yt = np.zeros((n, m))  # row j is reflector j, zero before entry j
     t = np.zeros((n, n))
     r = np.zeros((n, n), order="F")
@@ -254,7 +259,10 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
         np.multiply(left, _DOWNDATE_TOL, out=floor)
         perm = list(range(n))
     else:
-        cols = np.ldexp(a.T, -exponent, order="C")  # column j of A is row j
+        # Column j of A is row j.  The loop below only reads it, so an A
+        # already at scale (exponent 0) is used without a copy.
+        cols = (np.ldexp(a.T, -exponent, order="C") if exponent
+                else np.ascontiguousarray(a.T))
     for j in range(n):
         if pivot:
             p = j + int(left[j:].argmax())
@@ -348,12 +356,18 @@ _QR_MIN_COLS = 7
 _QR_MIN_SIZE = 5000
 # _jacobi_sweeps rotates a whole round of disjoint pairs at once on inputs
 # with at least _ROUND_MIN_COLS columns, and pair by pair below that.
-# Alternating runs on X = R^T of Gaussian m x n inputs, m from n to 40 n
-# (9 per width, median per-pair time over round time, with J / without):
-# n = 8 0.76x / 0.76x, n = 9 0.64x / 0.64x, n = 10 0.94x / 0.92x, n = 11
-# 0.78x / 0.76x (odd n sweeps a padding column), n = 12 1.14x / 1.10x,
-# n = 16 1.41x / 1.46x, n = 24 2.05x / 2.14x.
-_ROUND_MIN_COLS = 12
+# Alternating runs of both on Gaussian m x n inputs, m from n to 40 n
+# (9 per width, 7 runs each, median over the inputs of per-pair time over
+# round time, with V / without): n = 3 0.58x / 0.59x (one pair a round),
+# n = 4 1.15x / 1.16x, n = 5 1.04x / 1.05x (two pairs and a bye), n = 6
+# 1.49x / 1.55x, n = 8 1.71x / 1.77x, n = 12 2.40x / 2.29x.
+_ROUND_MIN_COLS = 4
+# A round of at most _FLOAT_MAX_PAIRS pairs takes the criterion and the
+# rotations pair by pair on floats, a larger one on arrays.  Alternating
+# runs of both on Gaussian inputs, m = n to 8 n with V (5 per width,
+# median time on arrays over time on floats): 10 pairs 1.40x, 12 1.28x,
+# 14 1.10x, 15 1.10x, 16-18 0.97-1.08x, 19 0.93-0.94x, 20 0.85x, 30 0.77x.
+_FLOAT_MAX_PAIRS = 15
 
 
 def _jacobi_sweeps(work: np.ndarray, m: int, on: str):
@@ -362,11 +376,11 @@ def _jacobi_sweeps(work: np.ndarray, m: int, on: str):
     ``work`` holds column k of W as the first m entries of its row k; the
     rest of the row, if any, is column k of a matrix that accumulates the
     same rotations.  Rotates pairs of rows in place until every pair of
-    columns of W satisfies the relative orthogonality criterion.  Wide
-    inputs sweep in round-robin order, narrow ones pair by pair; both
-    apply the same rotation rule.  ``on`` names the swept matrix ("A" or
-    "R^T") in a ConvergenceError, which also reports the largest
-    off-diagonal ratio left in W.
+    columns of W satisfies the relative orthogonality criterion.  Inputs
+    of _ROUND_MIN_COLS columns or more sweep in round-robin order, two or
+    three columns pair by pair; both apply the same rotation rule.
+    ``on`` names the swept matrix ("A" or "R^T") in a ConvergenceError,
+    which also reports the largest off-diagonal ratio left in W.
     """
     path = "rounds" if work.shape[0] >= _ROUND_MIN_COLS else "pairs"
     if (_jacobi_rounds if path == "rounds" else _jacobi_pairs)(work, m):
@@ -390,8 +404,9 @@ def _tangent(alpha: float, beta: float, gamma: float) -> float:
     t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)) with d = beta - alpha is
     the smaller root of t^2 + 2 zeta t - 1 = 0, zeta = d / (2 gamma), that
     is sign(zeta) / (|zeta| + sqrt(1 + zeta^2)) (Rutishauser), without
-    forming zeta: |t| <= 1 and hypot does not overflow.  ``_jacobi_rounds``
-    computes the same expression for a whole round at once.
+    forming zeta: |t| <= 1 and hypot does not overflow.  ``_jacobi_pairs``
+    and the rounds of at most _FLOAT_MAX_PAIRS pairs call it pair by pair;
+    larger rounds compute the same expression on arrays.
     """
     d = beta - alpha
     return 2.0 * gamma / (d + math.copysign(math.hypot(d, 2.0 * gamma), d))
@@ -454,65 +469,123 @@ def _round_robin_shift(seats: int) -> np.ndarray:
     return d.reshape(-1)
 
 
+def _float_rotations(gram: list, w_pairs: np.ndarray,
+                     rot: np.ndarray) -> bool:
+    """The rotations of one round into ``rot``, pair by pair on floats;
+    returns whether any pair rotates.
+
+    ``gram[k]`` is the 2 x 2 Gram matrix [[alpha, gamma], [gamma, beta]],
+    as nested lists, of the two columns of W in ``w_pairs[k]``; ``rot[k]``
+    becomes the pair's rotation [[c, -s], [s, c]], the identity for a
+    pair below the criterion, and ``rot`` is left as it is when no pair
+    rotates.  A column with squared norm at most _FLUSH2 is set to zero.
+    """
+    entries, rotated = [], False
+    for k, ((alpha, gamma), (_, beta)) in enumerate(gram):
+        if alpha <= _FLUSH2 or beta <= _FLUSH2:
+            # gamma of a flushed column is 0: the pair stays as is.
+            if alpha <= _FLUSH2:
+                w_pairs[k, 0] = 0.0
+            if beta <= _FLUSH2:
+                w_pairs[k, 1] = 0.0
+            entries += (1.0, 0.0, 0.0, 1.0)
+        # sqrt(a)*sqrt(b), not sqrt(a*b): the product can underflow.
+        elif abs(gamma) <= (JACOBI_OFFDIAG_TOL * math.sqrt(alpha)
+                            * math.sqrt(beta)):
+            entries += (1.0, 0.0, 0.0, 1.0)
+        else:
+            t = _tangent(alpha, beta, gamma)
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            entries += (c, -s, s, c)
+            rotated = True
+    if rotated:
+        rot.reshape(-1)[:] = entries
+    return rotated
+
+
+def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray) -> bool:
+    """What ``_float_rotations`` does, for a round of many pairs: the
+    Gram entries come from two ``np.vecdot`` calls and the criterion and
+    ``_tangent`` run on arrays."""
+    squares = np.vecdot(w_pairs, w_pairs)
+    gamma = np.vecdot(w_pairs[:, 0], w_pairs[:, 1])
+    if squares.min() <= _FLUSH2:
+        # A flushed column has gamma 0, which leaves its pair as is.
+        flush = squares <= _FLUSH2
+        w_pairs[flush] = 0.0
+        gamma[flush.any(axis=1)] = 0.0
+    norms = np.sqrt(squares)
+    moves = np.abs(gamma) > JACOBI_OFFDIAG_TOL * (norms[:, 0] * norms[:, 1])
+    if not np.count_nonzero(moves):
+        return False
+    d = squares[:, 1] - squares[:, 0]
+    g2 = gamma + gamma
+    den = d + np.copysign(np.hypot(d, g2), d)
+    # [[1, -t], [t, 1]] per pair, t = 0 for those that do not move;
+    # dividing by hypot(1, t) makes it the rotation [[c, -s], [s, c]].
+    turn = np.ones((w_pairs.shape[0], 2, 2))
+    t = turn[:, 1, 0]
+    t.fill(0.0)
+    np.divide(g2, den, out=t, where=moves)
+    np.negative(t, out=turn[:, 0, 1])
+    np.divide(turn, np.hypot(1.0, t)[:, None, None], out=rot)
+    return True
+
+
 def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     """Round-robin sweeps (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1),
-    1985): n-1 rounds of n/2 disjoint pairs, each round in a few numpy calls.
-    Returns whether a sweep within the budget confirmed every pair.
+    1985): n-1 rounds of n/2 disjoint pairs (n rounds of (n-1)/2 for odd
+    n), each round in a few numpy calls.  Returns whether a sweep within
+    the budget confirmed every pair.
 
-    The rows of ``work`` are reordered, with a zero row appended for odd
-    n, such that rows 2k and 2k+1 are pair k of the round; one matrix
-    product rotates them all.  Disjoint pairs commute, so a round is the
-    same as rotating its pairs one by one; a pair below the criterion gets
-    t = 0, the identity.  Needs n >= 3.
+    The rows of ``work`` are reordered such that rows 2k and 2k+1 are
+    pair k of the round; one matrix product rotates them all.  Disjoint
+    pairs commute, so a round is the same as rotating its pairs one by
+    one; a pair below the criterion gets t = 0, the identity.  Odd n
+    seats a virtual zero column in seat 0, which never moves: its pair,
+    the bye, is left out, so the pairs start at row 1.  A round of at
+    most _FLOAT_MAX_PAIRS pairs takes its Gram matrices in one
+    ``np.vecdot`` call and its rotations from ``_float_rotations``, a
+    larger one from ``_array_rotations``.  Needs n >= 3.
     """
     n, width = work.shape
     seats = n + n % 2
-    h = seats // 2
+    bye = n % 2
+    h = seats // 2 - bye
     # Row of ``work`` held by each row in the first round of every sweep.
-    order = np.array([c for k in range(h) for c in (k, seats - 1 - k)])
-    real = order < n
-    shift = _round_robin_shift(seats)
-    rows, spare = np.zeros((seats, width)), np.empty((seats, width))
-    rows[real] = work[order[real]]
-    t = np.empty(h)
-    # [[1, -t], [t, 1]] per pair; dividing by hypot(1, t) makes it the
-    # rotation [[c, -s], [s, c]].
-    turn, rot = np.ones((h, 2, 2)), np.empty((h, 2, 2))
+    order = np.array([c for k in range(seats // 2)
+                      for c in (k, seats - 1 - k)][bye:]) - bye
+    shift = _round_robin_shift(seats)[bye:] - bye
+    # Two buffers, each with its views: all rows, the pairs, the pairs'
+    # columns of W, and those set up to broadcast to 2 x 2 Gram matrices.
+    buffers = []
+    for rows in (work[order], np.empty((n, width))):
+        pairs = rows[bye:].reshape(h, 2, width)
+        w_pairs = pairs[:, :, :m]
+        buffers.append((rows, pairs, w_pairs, w_pairs[:, :, None],
+                        w_pairs[:, None]))
+    cur, nxt = buffers
+    few = h <= _FLOAT_MAX_PAIRS
+    rot = np.empty((h, 2, 2))
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for _ in range(seats - 1):
-            w_rows = rows[:, :m]
-            squares = np.einsum("ij,ij->i", w_rows, w_rows)
-            gamma = np.einsum("ij,ij->i", w_rows[0::2], w_rows[1::2])
-            if squares.min() <= _FLUSH2:
-                # A flushed column has gamma 0, which leaves its pair as is.
-                flush = squares <= _FLUSH2
-                w_rows[flush] = 0.0
-                gamma[flush[0::2] | flush[1::2]] = 0.0
-            norms = np.sqrt(squares)
-            active = np.abs(gamma) > JACOBI_OFFDIAG_TOL * (norms[0::2]
-                                                           * norms[1::2])
-            if np.count_nonzero(active):
+            rows, pairs, w_pairs, left, right = cur
+            if (_float_rotations(np.vecdot(left, right).tolist(), w_pairs, rot)
+                    if few else _array_rotations(w_pairs, rot)):
                 rotated = True
-                # _tangent, pair by pair; inactive pairs keep t = 0.
-                d = squares[1::2] - squares[0::2]
-                g2 = gamma + gamma
-                den = d + np.copysign(np.hypot(d, g2), d)
-                t.fill(0.0)
-                np.divide(g2, den, out=t, where=active)
-                turn[:, 1, 0] = t
-                np.negative(t, out=turn[:, 0, 1])
-                np.divide(turn, np.hypot(1.0, t)[:, None, None], out=rot)
-                np.matmul(rot, rows.reshape(h, 2, width),
-                          out=spare.reshape(h, 2, width))
-                rows, spare = spare, rows
+                np.matmul(rot, pairs, out=nxt[1])
+                if bye:
+                    nxt[0][0] = rows[0]
+                cur, nxt = nxt, cur
             # mode="clip" spares the buffered copy that "raise" makes for
             # ``out``; every index of ``shift`` is in range.
-            np.take(rows, shift, axis=0, out=spare, mode="clip")
-            rows, spare = spare, rows
+            np.take(cur[0], shift, axis=0, out=nxt[0], mode="clip")
+            cur, nxt = nxt, cur
         if not rotated:
             break
-    work[order[real]] = rows[real]
+    work[order] = cur[0]
     return not rotated
 
 
@@ -544,7 +617,8 @@ def _apply_sign_rule(v: np.ndarray, u) -> None:
             u[:, paired] = -u[:, paired]
 
 
-def _thin_svd(a: np.ndarray, with_u: bool = True):
+def _thin_svd(a: np.ndarray, with_u: bool = True,
+              exponent: int | None = None):
     """Thin SVD (u, s, v) of an m x n array with m >= n via one-sided Jacobi.
 
     u is m x n, or None unless ``with_u``; its columns for exactly zero
@@ -558,11 +632,13 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
     2008) do: rows sorted, it is factored A P = Q R by the pivoted QR, and
     the sweeps run on X = R^T.  X J = W with orthogonal columns gives
     V = P W / sigma and, only when asked for, U = Q [J; 0].  Smaller
-    inputs are swept as they are.
+    inputs are swept as they are.  ``exponent``, when given, is
+    ``_binary_exponent(a)``, which the caller has already taken.
     """
     m, n = a.shape
     # Scaling keeps squared column norms away from overflow and underflow.
-    exponent = _binary_exponent(a)
+    if exponent is None:
+        exponent = _binary_exponent(a)
     on_r = n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
     if on_r:
         # Rows in decreasing max-norm order keep the QR accurate on rows of
@@ -570,7 +646,7 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
         rows = np.argsort(-np.abs(a).max(axis=1))
         work = a[rows]  # scaled in place, and freed once R replaces it
         r, y, t, perm = _householder_qr_arrays(
-            np.ldexp(work, -exponent, out=work), pivot=True)
+            np.ldexp(work, -exponent, out=work), pivot=True, exponent=0)
         # Row k: column k of X = R^T (row k of R), then column k of J.
         work = np.hstack([r, np.eye(n)]) if with_u else np.ascontiguousarray(r)
         swept = n

@@ -163,9 +163,9 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
         raise ValueError(
             "solve_ols: the closed form applies only to simple_regression")
     ea, ey = _binary_exponent(a.array), _binary_exponent(y.array)
-    ys = np.ldexp(y.array, -ey)
-    c, rank_deficient, sigma = _scaled_solution(a.array, ea, ys, method)
-    residual = np.ldexp(a.array, -ea) @ c - ys
+    a_s, ys = np.ldexp(a.array, -ea), np.ldexp(y.array, -ey)
+    c, rank_deficient, sigma = _scaled_solution(a_s, ea, ys, method)
+    residual = a_s @ c - ys
     return OlsSolution(
         coefficients=Vector(_ldexp_in_range(c, ey - ea, "coefficients")),
         residual_norm=_norm(residual, ey),
@@ -175,23 +175,25 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
     )
 
 
-def _scaled_solution(a: np.ndarray, ea: int, ys: np.ndarray, method: Method):
+def _scaled_solution(a_s: np.ndarray, ea: int, ys: np.ndarray,
+                     method: Method):
     """(c_s, rank_deficient, sigma) by ``method``: c_s = 2^(ea - ey) c is
-    the solution for A divided by 2^ea and y by 2^ey (``ys``), and sigma
-    the singular values of A for the SVD method, else None.  The factors
+    the solution for A divided by 2^ea (``a_s``) and y by 2^ey (``ys``),
+    and sigma the singular values of A for the SVD method, else None.
+    The kernels run on ``a_s``, whose binary exponent is 0.  The factors
     are freed on return, before the caller forms the residual."""
     if method is Method.NORMAL_EQUATIONS:
-        return _normal_equations(np.ldexp(a, -ea), ys), False, None
+        return _normal_equations(a_s, ys), False, None
     if method is Method.QR:
-        r, q_y, q_t = _householder_qr_arrays(a)
+        r, q_y, q_t = _householder_qr_arrays(a_s, exponent=0)
         diag = np.abs(r.diagonal())
-        if a.shape[1] and diag.min() <= RANK_REL_TOL * diag.max():
+        if a_s.shape[1] and diag.min() <= RANK_REL_TOL * diag.max():
             raise RankDeficiencyError(
                 "qr: triangular factor has a negligible diagonal entry")
-        rhs = _reflect(q_y, q_t.T, ys)[:a.shape[1]]
-        return _solve_upper(np.ldexp(r, -ea), rhs), False, None
+        rhs = _reflect(q_y, q_t.T, ys)[:a_s.shape[1]]
+        return _solve_upper(r, rhs), False, None
     if method is Method.SVD:
-        u, s, v = _thin_svd(a)
-        return (_pinv(u, np.ldexp(s, -ea), v, ys), _rank(s) < a.shape[1],
-                Vector(s))
+        u, s, v = _thin_svd(a_s, exponent=0)
+        return (_pinv(u, s, v, ys), _rank(s) < a_s.shape[1],
+                Vector(_ldexp_in_range(s, ea, "singular values")))
     raise ValueError(f"solve_ols: unknown method {method!r}")

@@ -19,6 +19,7 @@ __all__ = [
     "line_angle_search",
     "sym_eigen_closed_form",
     "perturbation_probe",
+    "graded_known_sigma",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -123,6 +124,26 @@ def sym_eigen_closed_form(s: Matrix) -> Vector:
     eig3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     eig2 = 3.0 * q - eig1 - eig3
     return Vector(sorted((eig1, eig2, eig3), reverse=True))
+
+
+def graded_known_sigma(rng: np.random.Generator, m: int, n: int,
+                       smallest: float = 1e-30):
+    """An m x n matrix with known, widely graded singular values.
+
+    A = Q D: Q is the orthonormal factor of LAPACK's QR of a Gaussian
+    matrix, D is diagonal with entries spaced geometrically from 1 down
+    to ``smallest``, in random order.  A^T A = D^2, so the singular values
+    are the entries of D; Q's departure from orthonormality and the
+    rounding of its scaled columns move each of them by O(sqrt(n) eps)
+    relative, however small it is (Demmel & Veselic, SIAM J. Matrix
+    Anal. Appl. 13(4), 1992).  Returns (A, sigma) with sigma descending.
+    """
+    if not 1 <= n <= m:
+        raise DimensionError(
+            f"graded_known_sigma: need 1 <= n <= m, got {m} x {n}")
+    q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    d = np.geomspace(1.0, smallest, n)
+    return q * d[rng.permutation(n)], d
 
 
 def perturbation_probe(

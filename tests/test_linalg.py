@@ -23,11 +23,12 @@ from tlsfit import (
     solve_tls_system,
 )
 from tlsfit import linalg
-from tlsfit.linalg import (_QR_MIN_COLS, _QR_MIN_SIZE, _ROUND_MIN_COLS,
-                           _jacobi_pairs, _jacobi_rounds, _pinv, _tangent,
-                           _thin_svd, _truncate)
+from tlsfit.linalg import (_FLOAT_MAX_PAIRS, _QR_MIN_COLS, _QR_MIN_SIZE,
+                           _ROUND_MIN_COLS, _array_rotations,
+                           _float_rotations, _jacobi_pairs, _jacobi_rounds,
+                           _pinv, _tangent, _thin_svd, _truncate)
 from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
-from oracles import sym_eigen_closed_form
+from oracles import graded_known_sigma, sym_eigen_closed_form
 
 SQUARE_CORNERS = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
 # Augmented matrix whose null right-singular direction is the middle
@@ -406,6 +407,13 @@ def _graded_shapes(rng):
         yield m, n
 
 
+# Known-answer shapes: the per-pair loop (n = 3), rounds on A with few
+# pairs (n = 4-6, 12), rounds on R^T with few pairs (n = 8, 16, 28, 29)
+# and with many (n = 40).
+KNOWN_SIGMA_SHAPES = [(1500, 3), (800, 4), (600, 5), (400, 6), (1200, 8),
+                      (200, 12), (1000, 16), (300, 28), (300, 29), (300, 40)]
+
+
 @pytest.mark.parametrize("grading", ["columns", "rows"])
 def test_preconditioned_sweeps_keep_relative_accuracy(grading):
     """Demmel & Veselic (SIAM J. Matrix Anal. Appl. 13(4), 1992): one-sided
@@ -413,7 +421,8 @@ def test_preconditioned_sweeps_keep_relative_accuracy(grading):
     scaled from 1 to 1e-30, in random order) gets every singular value to
     high relative accuracy.  Sweeping R^T of the pivoted QR instead
     agrees with the per-pair sweeps on A itself to 1e-13 relative on
-    every sigma."""
+    every sigma.  On column-graded A = Q D with known singular values
+    (``graded_known_sigma``), every path gets them to 1e-14 relative."""
     rng = np.random.default_rng(81 if grading == "columns" else 82)
     for m, n in _graded_shapes(rng):
         b = rng.standard_normal((m, n))
@@ -424,6 +433,11 @@ def test_preconditioned_sweeps_keep_relative_accuracy(grading):
         expected = _pair_sweep_sigma(a)
         s = _thin_svd(a)[1]
         np.testing.assert_allclose(s, expected, rtol=1e-13, atol=0)
+    if grading == "columns":
+        for m, n in KNOWN_SIGMA_SHAPES:
+            a, sigma = graded_known_sigma(rng, m, n)
+            np.testing.assert_allclose(_thin_svd(a)[1], sigma, rtol=1e-14,
+                                       atol=0)
 
 
 def test_preconditioned_sweeps_on_steeply_row_graded_input():
@@ -441,15 +455,21 @@ def test_preconditioned_sweeps_on_steeply_row_graded_input():
                                    rtol=1e-13, atol=0)
 
 
-# Widths 6-13 and 16, which cover both sides of the round-robin cutoff.
+# Widths 6-13 and 16, both sides of the column cutoff of the rounds, and
+# both sides of the largest round whose rotations are taken on floats.
 @pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16,
-                                      _ROUND_MIN_COLS - 2, _ROUND_MIN_COLS - 1,
-                                      _ROUND_MIN_COLS, _ROUND_MIN_COLS + 1,
-                                      _ROUND_MIN_COLS + 4}))
+                                      _ROUND_MIN_COLS - 1, _ROUND_MIN_COLS,
+                                      _ROUND_MIN_COLS + 1,
+                                      2 * _FLOAT_MAX_PAIRS,
+                                      2 * _FLOAT_MAX_PAIRS + 1,
+                                      2 * _FLOAT_MAX_PAIRS + 2,
+                                      2 * _FLOAT_MAX_PAIRS + 3}))
 def test_round_robin_sweeps_match_per_pair_loop(n):
     """On the same matrices, the per-pair loop and the batched rounds both
     leave every column pair within JACOBI_OFFDIAG_TOL, accumulate their
-    rotations in V, and agree on sigma to 1e-14 relative.
+    rotations in V, and agree on sigma to 1e-14 relative.  The widths
+    around 2 _FLOAT_MAX_PAIRS take the rounds' rotations on floats
+    (up to _FLOAT_MAX_PAIRS pairs a round) and on arrays (one more).
 
     A pair's inner product is known only up to the rounding bound of a
     computed dot product, m u sum_k |w_ki w_kj|; the check allows that
@@ -474,17 +494,45 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
         np.testing.assert_allclose(sigmas[1], sigmas[0], rtol=1e-14, atol=0)
 
 
-SWEEP_PATHS = {(60, 30): "rounds on A", (20, 4): "pairs on A",
-               (1000, 10): "pairs on R^T", (200, 40): "rounds on R^T"}
+@pytest.mark.parametrize("n", [6, 2 * _FLOAT_MAX_PAIRS + 2])
+def test_float_and_array_rotations_agree(n):
+    """One round's rotations taken pair by pair on floats (math.hypot) and
+    on arrays (np.hypot) agree to a few ulps, on a round with a flushed
+    column and a pair already below the criterion."""
+    rng = np.random.default_rng(90 + n)
+    w = rng.standard_normal((n, 3 * n))
+    w[1] *= 1e-110  # squared norm below _FLUSH2: flushed to zero
+    w[3] = w[2] * rng.uniform(0.5, 2.0)  # parallel to its pair
+    w[5] -= (w[4] @ w[5]) / (w[4] @ w[4]) * w[4]  # orthogonal to its pair
+    rotations = []
+    for on_floats in (True, False):
+        w_pairs = w.reshape(n // 2, 2, 3 * n).copy()
+        rot = np.empty((n // 2, 2, 2))
+        if on_floats:
+            gram = np.vecdot(w_pairs[:, :, None], w_pairs[:, None])
+            assert _float_rotations(gram.tolist(), w_pairs, rot)
+        else:
+            assert _array_rotations(w_pairs, rot)
+        assert not w_pairs[0, 1].any()
+        rotations.append(rot)
+    floats, arrays = rotations
+    for rot in rotations:
+        np.testing.assert_array_equal(rot[[0, 2]], [np.eye(2)] * 2)
+    assert abs(floats[1, 1, 0]) > 0.4  # parallel columns: |t| >= 1/2
+    assert np.all(np.abs(arrays - floats) <= 4 * np.spacing(np.abs(floats)))
+
+
+SWEEP_PATHS = {(60, 30): "rounds on A", (20, 4): "rounds on A",
+               (1000, 10): "rounds on R^T", (200, 40): "rounds on R^T",
+               (20, 3): "pairs on A"}
 
 
 @pytest.mark.parametrize("shape", list(SWEEP_PATHS))
 def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     """One sweep cannot confirm a Gaussian matrix, on any path: 60 x 30
-    sweeps A in rounds, 20 x 4 sweeps A pair by pair, 1000 x 10 sweeps
-    R^T pair by pair and 200 x 40 sweeps R^T in rounds.  The error names
-    the path and the largest off-diagonal ratio left, next to the
-    tolerance."""
+    and 20 x 4 sweep A in rounds, 1000 x 10 and 200 x 40 sweep R^T in
+    rounds, and 20 x 3 sweeps A pair by pair.  The error names the path
+    and the largest off-diagonal ratio left, next to the tolerance."""
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     a = np.random.default_rng(70).standard_normal(shape)
     with pytest.raises(ConvergenceError) as info:

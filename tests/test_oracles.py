@@ -7,6 +7,7 @@ import pytest
 from tlsfit import Matrix, PointCloud, Vector, jacobi_svd, solve_ols
 from tlsfit.errors import DimensionError
 from oracles import (
+    graded_known_sigma,
     line_angle_search,
     perturbation_probe,
     sym_eigen_closed_form,
@@ -92,6 +93,24 @@ def test_sym_eigen_matches_jacobi_squares():
         sig2 = jacobi_svd(Matrix(b)).sigma.array ** 2
         np.testing.assert_allclose(sig2, eigs, rtol=0,
                                    atol=1e-9 * max(1.0, eigs[0]))
+
+
+def test_graded_known_sigma_columns_are_orthogonal_with_norms_sigma():
+    """The columns of A = Q D have norms equal to D and are orthogonal to
+    a few ulps relative to those norms, which is what makes D its
+    singular values to that relative accuracy, smallest included."""
+    rng = np.random.default_rng(3)
+    for m, n in [(1500, 3), (300, 40), (40, 40)]:
+        a, sigma = graded_known_sigma(rng, m, n)
+        assert a.shape == (m, n)
+        assert np.all(np.diff(sigma) < 0.0)
+        assert sigma[-1] == pytest.approx(1e-30)
+        norms = np.linalg.norm(a, axis=0)
+        np.testing.assert_allclose(np.sort(norms)[::-1], sigma, rtol=1e-14)
+        cosines = (a.T @ a) / np.outer(norms, norms)
+        assert np.abs(cosines - np.eye(n)).max() <= 1e-14
+    with pytest.raises(DimensionError):
+        graded_known_sigma(rng, 3, 4)
 
 
 def test_sym_eigen_rejects_bad_input():
