@@ -3,7 +3,7 @@
 With p right-hand sides the SVD of (A | B) is partitioned after column n;
 the solution is X = -V12 V22^{-1} when the trailing p x p block V22 is
 invertible (``system._tls_split``, shared by every TLS fit), and the
-rank-n truncation is the nearest solvable system.
+rank-n truncation C - (C V2) V2^T is the nearest solvable system.
 
 With frozen columns the system matrix splits into an error-free block A1
 and an uncertain block A2.  The solve projects A2 and B off the column
@@ -77,12 +77,12 @@ def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
         raise DimensionError(
             f"solve_tls_multi: need rows >= cols(A) + cols(B), "
             f"got {m} < {n} + {p}")
-    factors, x, unique = _split_or_raise(
-        np.column_stack([a.array, b.array]), n)
+    c = np.column_stack([a.array, b.array])
+    s, v, x, unique = _split_or_raise(c, n)
     return MultiRhsSolution(
         x=Matrix(x),
-        nearest_system=Matrix(_truncate(*factors, n)),
-        sigma=Vector(factors[1]),
+        nearest_system=Matrix(_truncate(c, v, n)),
+        sigma=Vector(s),
         unique=unique,
     )
 
@@ -112,8 +112,7 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     # Projecting [A2 B] off U1 leaves the Gram matrix, hence sigma and V,
     # of its block in the orthogonal complement of A1's column space.
     a2b = np.column_stack([a2.array, b.array])
-    (_, s, _), x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k,
-                                       with_u=False)
+    s, _, x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k)
     # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
     x1 = _pinv(u1, s1, v1, b.array - a2.array @ x2)
     return FixedColsSolution(

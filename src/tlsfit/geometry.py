@@ -92,8 +92,7 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
     center = centered.mean(axis=0)
     centered -= center
     # y = c0 + slope . x is the one-column TLS split of the centered cloud.
-    (_, s, v), x, _, _, unique = _tls_split(centered, n - 1, exponent,
-                                            with_u=False)
+    s, v, x, _, _, unique = _tls_split(centered, n - 1, exponent)
     explicit = None
     if x is not None:
         slope = x[:, 0]

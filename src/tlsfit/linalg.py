@@ -13,17 +13,17 @@ asked.  The SVD of an input with at least _QR_MIN_COLS columns and
 _QR_MIN_SIZE entries sorts its rows, factors A P = Q R with pivoting and
 sweeps only the n x n R^T (Drmac & Veselic); V comes from the swept
 columns, and U = Q [J; 0], J the accumulated rotations, only for callers
-that read U.  Smaller inputs are swept as they are.  The sweeps rotate a
-round of disjoint pairs at once from _ROUND_MIN_COLS columns on, taking
-the rotations of a round with few pairs on floats, and sweep two or three
-columns one pair at a time; all compute the rotation as
-t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
+that read U, which no TLS split of C does.  Smaller inputs are swept as
+they are.  The sweeps rotate a round of disjoint pairs at once from
+_ROUND_MIN_COLS columns on, taking the rotations of a round with few
+pairs on floats, and sweep two or three columns one pair at a time; all
+compute the rotation as t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
 
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
-(``_thin_svd``, ``_rank``, ``_pinv``, ``_truncate``, ``_sum_of_squares``)
-work on ndarrays, so the solvers build a container only for a value they
-return.
+(``_thin_svd``, ``_rank``, ``_pinv``, ``_truncate`` from C and V alone,
+``_sum_of_squares`` and the power-of-two scaling) work on ndarrays, so
+the solvers build a container only for a value they return.
 """
 from __future__ import annotations
 
@@ -195,9 +195,10 @@ def _pinv(u: np.ndarray, s: np.ndarray, v: np.ndarray, rhs: np.ndarray):
     return v[:, :k] @ ((inv if rhs.ndim == 1 else inv[:, None]) * coeffs)
 
 
-def _truncate(u: np.ndarray, s: np.ndarray, v: np.ndarray, k: int):
-    """Sum of the k leading rank-one terms s_i u_i v_i^T."""
-    return (u[:, :k] * s[:k]) @ v[:, :k].T
+def _truncate(c: np.ndarray, v: np.ndarray, k: int):
+    """Rank-k truncation C - (C V2) V2^T, V2 = V[:, k:] of the SVD of C
+    (C V2 = U2 S2 needs no U); exact under 2^j scaling of C."""
+    return c - (c @ v[:, k:]) @ v[:, k:].T
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +582,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
                 cur, nxt = nxt, cur
             # mode="clip" spares the buffered copy that "raise" makes for
             # ``out``; every index of ``shift`` is in range.
-            np.take(cur[0], shift, axis=0, out=nxt[0], mode="clip")
+            cur[0].take(shift, 0, nxt[0], "clip")
             cur, nxt = nxt, cur
         if not rotated:
             break
@@ -636,14 +637,15 @@ def _thin_svd(a: np.ndarray, with_u: bool = True,
     ``_binary_exponent(a)``, which the caller has already taken.
     """
     m, n = a.shape
-    # Scaling keeps squared column norms away from overflow and underflow.
-    if exponent is None:
-        exponent = _binary_exponent(a)
     on_r = n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
+    # Scaling keeps squared column norms away from overflow and underflow.
     if on_r:
         # Rows in decreasing max-norm order keep the QR accurate on rows of
         # very different scales (Cox & Higham, BIT 38(1), 1998).
-        rows = np.argsort(-np.abs(a).max(axis=1))
+        row_max = np.abs(a).max(axis=1)
+        rows = np.argsort(-row_max)
+        if exponent is None:  # _binary_exponent(a), from the row maxima
+            exponent = math.frexp(float(row_max.max()))[1]
         work = a[rows]  # scaled in place, and freed once R replaces it
         r, y, t, perm = _householder_qr_arrays(
             np.ldexp(work, -exponent, out=work), pivot=True, exponent=0)
@@ -651,6 +653,8 @@ def _thin_svd(a: np.ndarray, with_u: bool = True,
         work = np.hstack([r, np.eye(n)]) if with_u else np.ascontiguousarray(r)
         swept = n
     else:
+        if exponent is None:
+            exponent = _binary_exponent(a)
         # Row k: column k of A, then column k of V.
         work = np.empty((n, m + n))
         np.ldexp(a.T, -exponent, out=work[:, :m])

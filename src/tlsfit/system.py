@@ -3,10 +3,10 @@
 Every TLS fit here is ``_tls_split``: the SVD of C = (A | B) split after
 column n gives X = -V12 V22^{-1} when V22 is nonsingular.  For (A | -b),
 V22 is the last component of the subdominant right singular vector and
-X renormalizes that vector; truncating the SVD to rank n yields the
-nearest solvable system.  The augmented sign convention here is (A | -b)
-with the homogeneous vector (c; 1); the common (A | b) convention with
-(c; -1) has identical singular values.
+X renormalizes that vector; the rank-n truncation C - (C V2) V2^T,
+V2 = V[:, n:], is the nearest solvable system.  The augmented sign
+convention here is (A | -b) with the homogeneous vector (c; 1); the
+common (A | b) convention with (c; -1) has identical singular values.
 """
 from __future__ import annotations
 
@@ -45,41 +45,39 @@ def augment(a: Matrix, b: Vector) -> Matrix:
     return Matrix(np.column_stack([a.array, -b.array]))
 
 
-def _tls_split(c: np.ndarray, n: int, exponent: int = 0,
-               with_u: bool = True):
+def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
     """SVD of C = (A | B) split after column n, and X = -V12 V22^{-1}.
 
-    ``c`` holds C scaled by 2^-exponent.  Returns ((u, s, v), x,
-    null_vector, s22, unique): (u, s, v) is the thin SVD of C, s at the
-    scale of C, and u is None unless ``with_u``; x is None when s22, the
-    smallest singular value of V22, is at most EXISTENCE_TOL; null_vector
-    is V[:, n:] times its right singular vector; unique is the gap test
-    at column n.
+    ``c`` holds C scaled by 2^-exponent.  Returns (s, v, x, null_vector,
+    s22, unique): s and v of the SVD of C, s at the scale of C and U not
+    formed (``_truncate(c, v, n)`` is the nearest solvable system); x is
+    None when s22, the smallest singular value of V22, is at most
+    EXISTENCE_TOL; null_vector is V[:, n:] times its right singular
+    vector; unique is the gap test at column n.
     """
-    u, s, v = _thin_svd(c, with_u)
-    if exponent:
-        s = _ldexp_in_range(s, exponent, "singular values")
+    _, s, v = _thin_svd(c, False)
+    s = _ldexp_in_range(s, exponent, "singular values")
     u22, s22, v22 = _thin_svd(v[n:, n:])
     x = None
     if s22[-1] > EXISTENCE_TOL:  # dividing before U22^T keeps p = 1 exact
         x = ((-v[:n, n:] @ v22) / s22) @ u22.T
     unique = n == 0 or bool((s[n - 1] - s[n]) > GAP_TOL * max(s[0], 1.0))
-    return (u, s, v), x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
+    return s, v, x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
 
 
-def _split_or_raise(c: np.ndarray, n: int, with_u: bool = True):
-    """``_tls_split`` of C after column n, raising NoTlsSolutionError, with
-    s22 and its threshold, when X does not exist."""
-    factors, x, null_vector, s22, unique = _tls_split(c, n, with_u=with_u)
+def _split_or_raise(c: np.ndarray, n: int):
+    """``_tls_split`` of C after column n as (s, v, x, unique), raising
+    NoTlsSolutionError, with s22 and its threshold, when X does not exist."""
+    s, v, x, null_vector, s22, unique = _tls_split(c, n)
     if x is None:
         raise NoTlsSolutionError(
             "no TLS solution: the trailing block of the right singular "
             f"matrix is singular (smallest singular value {s22:.3e} <= "
             f"EXISTENCE_TOL {EXISTENCE_TOL:g})",
             null_vector=Vector(null_vector),
-            sigma=Vector(factors[1]),
+            sigma=Vector(s),
         )
-    return factors, x, unique
+    return s, v, x, unique
 
 
 def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
@@ -95,11 +93,11 @@ def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     if a.rows < n + 1:
         raise DimensionError(
             f"solve_tls_system: need rows > cols, got {a.rows} x {n}")
-    factors, x, unique = _split_or_raise(augment(a, b).array, n)
-    s = factors[1]
+    c = augment(a, b).array
+    s, v, x, unique = _split_or_raise(c, n)
     return TlsSystemSolution(
         coefficients=Vector(-x[:, 0]),
-        nearest_system=Matrix(_truncate(*factors, n)),
+        nearest_system=Matrix(_truncate(c, v, n)),
         sigma=Vector(s),
         unique=unique,
         tls_residual=float(s[n]),

@@ -573,13 +573,13 @@ def test_pinv_matches_normal_equations():
 def test_truncate_full_rank_reconstructs():
     rng = np.random.default_rng(20)
     a = rng.standard_normal((5, 3))
-    e = _truncate(*factors(jacobi_svd(Matrix(a))), 3)
+    e = _truncate(a, jacobi_svd(Matrix(a)).v.array, 3)
     assert np.linalg.norm(e - a) <= 1e-11 * max(1.0, np.linalg.norm(a))
 
 
 def test_truncate_square_corners_rank_one():
     b = np.array(SQUARE_CORNERS, dtype=float)
-    e = _truncate(*factors(jacobi_svd(Matrix(b))), 1)
+    e = _truncate(b, jacobi_svd(Matrix(b)).v.array, 1)
     assert np.linalg.norm(b - e) == pytest.approx(2.0, abs=1e-12)
     assert np.linalg.matrix_rank(e) == 1
 
@@ -588,15 +588,16 @@ def test_truncate_discarded_energy():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((5, 3))
     svd = jacobi_svd(Matrix(a))
-    gap2 = np.linalg.norm(a - _truncate(*factors(svd), 2)) ** 2
+    gap2 = np.linalg.norm(a - _truncate(a, svd.v.array, 2)) ** 2
     assert gap2 == pytest.approx(svd.sigma.array[2] ** 2, rel=1e-10)
 
 
 def test_solvers_agree_bitwise_with_public_kernels():
     """The solvers' thin factors give exactly what the public kernel gives:
     OLS by SVD is _pinv of jacobi_svd's factors, and a TLS nearest system
-    is _truncate of them.  Every fourth draw has a duplicated column, an
-    exactly zero column of A, or an exactly zero column of B."""
+    is _truncate of C and jacobi_svd's V.  Every fourth draw has a
+    duplicated column, an exactly zero column of A, or an exactly zero
+    column of B."""
     rng = np.random.default_rng(23)
     tls_checked = 0
     for draw in range(200):
@@ -624,8 +625,8 @@ def test_solvers_agree_bitwise_with_public_kernels():
                 nearest = solver(Matrix(a), rhs).nearest_system
             except NoTlsSolutionError:
                 continue
-            assert np.array_equal(nearest.array,
-                                  _truncate(*factors(jacobi_svd(c)), n))
+            assert np.array_equal(
+                nearest.array, _truncate(c.array, jacobi_svd(c).v.array, n))
             tls_checked += 1
     assert tls_checked >= 150
 
@@ -634,7 +635,7 @@ def test_truncate_beats_random_competitors():
     rng = np.random.default_rng(22)
     a = rng.standard_normal((6, 4))
     k = 2
-    best = np.linalg.norm(a - _truncate(*factors(jacobi_svd(Matrix(a))), k))
+    best = np.linalg.norm(a - _truncate(a, jacobi_svd(Matrix(a)).v.array, k))
     for _ in range(200):
         competitor = rng.standard_normal((6, k)) @ rng.standard_normal((k, 4))
         assert best <= np.linalg.norm(a - competitor) + 1e-12

@@ -19,6 +19,7 @@ from tlsfit import (
     solve_tls_system,
     tls_objective,
 )
+from tlsfit import system
 from tlsfit.cli import EXIT_NO_TLS_SOLUTION, FitRequest, run
 from tlsfit.tolerances import EXISTENCE_TOL
 from oracles import perturbation_probe
@@ -245,3 +246,76 @@ def test_objective_dimension_checks():
 def test_system_requires_strictly_overdetermined():
     with pytest.raises(DimensionError):
         solve_tls_system(Matrix(np.eye(2)), Vector([1.0, 2.0]))
+
+
+def nearest_problem(m, n, p, zero, scale=0):
+    """Solver, arguments and C = (A | -b) or (A | B) of a noisy m x n
+    system with p right-hand sides (seeded by its shape), all scaled by
+    2^scale; ``zero`` names the block, "A" or "B", whose column 1 or last
+    column is exactly zero."""
+    rng = np.random.default_rng(m * 100 + n)
+    a = rng.standard_normal((m, n))
+    b = a @ rng.standard_normal((n, p)) + 0.1 * rng.standard_normal((m, p))
+    if zero == "A":
+        a[:, 1] = 0.0
+    elif zero == "B":
+        b[:, -1] = 0.0
+    a, b = np.ldexp(a, scale), np.ldexp(b, scale)
+    if p == 1:
+        return (solve_tls_system, (Matrix(a), Vector(b[:, 0])),
+                np.column_stack([a, -b]))
+    return solve_tls_multi, (Matrix(a), Matrix(b)), np.column_stack([a, b])
+
+
+# 40 x 3 sweeps C on A; 1200 x 8 and 300 x 40 (p = 2) sweep R^T of the
+# preconditioned SVD.  A zero column of A leaves no TLS solution; one of B
+# gives C an exactly zero singular value that still has a solution.
+@pytest.mark.parametrize("zero", [None, "A", "B"])
+@pytest.mark.parametrize("m, n, p", [(40, 3, 1), (1200, 8, 1), (300, 40, 2)])
+def test_nearest_system_is_the_rank_n_truncation(m, n, p, zero):
+    solver, args, c = nearest_problem(m, n, p, zero)
+    if zero == "A":
+        with pytest.raises(NoTlsSolutionError) as info:
+            solver(*args)
+        null_vector = info.value.null_vector.array
+        assert null_vector.tolist() == np.eye(n + p)[1].tolist()
+        assert info.value.sigma.array[-1] == 0.0
+        for k in (600, -600):
+            solver, args, _ = nearest_problem(m, n, p, zero, k)
+            with pytest.raises(NoTlsSolutionError) as scaled:
+                solver(*args)
+            assert np.array_equal(scaled.value.sigma.array,
+                                  np.ldexp(info.value.sigma.array, k))
+        return
+    sol = solver(*args)
+    near, s = sol.nearest_system.array, sol.sigma.array
+    c_norm = np.linalg.norm(c)
+    assert np.linalg.norm(c - near) ** 2 == pytest.approx(
+        np.sum(s[n:] ** 2), rel=1e-12, abs=1e-24 * c_norm ** 2)
+    v2 = np.linalg.svd(c, full_matrices=False)[2][n:].T  # LAPACK basis
+    assert np.linalg.norm(near @ v2) <= 1e-13 * c_norm
+    x = sol.x.array if p > 1 else sol.coefficients.array[:, None]
+    g = near[:, n:] if p > 1 else -near[:, n:]
+    assert np.linalg.norm(near[:, :n] @ x - g) <= 1e-12 * np.linalg.norm(g)
+    for k in (600, -600):
+        solver, args, _ = nearest_problem(m, n, p, zero, k)
+        assert np.array_equal(solver(*args).nearest_system.array,
+                              np.ldexp(near, k))
+
+
+def test_tls_fits_ask_for_u_only_on_the_v22_block(monkeypatch):
+    """The nearest system comes from C and V alone: the one SVD of a TLS
+    system or multi-RHS fit that forms U is that of the p x p V22."""
+    calls = []
+    thin_svd = system._thin_svd
+
+    def recording(a, with_u=True, exponent=None):
+        calls.append((a.shape, with_u))
+        return thin_svd(a, with_u, exponent)
+
+    monkeypatch.setattr(system, "_thin_svd", recording)
+    for m, n, p in [(40, 3, 1), (1200, 8, 1), (300, 40, 2), (30, 4, 3)]:
+        solver, args, c = nearest_problem(m, n, p, None)
+        calls.clear()
+        solver(*args)
+        assert calls == [(c.shape, False), ((p, p), True)]
