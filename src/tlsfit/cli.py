@@ -12,8 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,11 +27,11 @@ from .errors import (
     RangeError,
     RankDeficiencyError,
 )
-from .extensions import solve_tls_fixed, solve_tls_multi
+from .extensions import _multi_split, solve_tls_fixed
 from .geometry import PointCloud, fit_hyperplane_tls
 from .linalg import Matrix, Vector, _sum_of_squares
 from .ols import Method, solve_ols
-from .system import solve_tls_system
+from .system import _system_split
 
 __all__ = ["FitRequest", "FitReport", "parse_csv", "run", "main"]
 
@@ -43,8 +42,7 @@ EXIT_INPUT_ERROR = 1
 EXIT_NO_TLS_SOLUTION = 2
 
 
-@dataclass(frozen=True)
-class FitRequest:
+class FitRequest(NamedTuple):
     """One fitting job: a mode, an input file and the column split."""
 
     mode: str
@@ -54,13 +52,14 @@ class FitRequest:
     output_format: str = "json"
 
 
-@dataclass
-class FitReport:
+class FitReport(NamedTuple):
     """Everything a caller needs from one fit, solution or diagnosis.
 
-    Exactly one of the solution fields and ``error`` is populated.
-    ``singular_values`` is filled whenever a decomposition was reached,
-    including the no-TLS-solution case.
+    Exactly one of the solution fields and ``error`` is populated; the
+    field order is the key order of the JSON report.  ``singular_values``
+    is filled whenever a decomposition was reached, including the
+    no-TLS-solution case, except that a solved ``tls-fixed`` fit leaves
+    it None: the fixed-column solution carries no spectrum.
     """
 
     mode: str
@@ -74,15 +73,23 @@ class FitReport:
     error: Optional[dict] = None
 
     def fields(self):
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
+        return tuple(zip(self._fields, self))
+
+
+def _finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell.strip()))
+    except ValueError:
+        return False
 
 
 def parse_csv(path: str) -> Matrix:
     """Read a rectangular numeric CSV into a Matrix, rows in file order.
 
-    A single leading header row is skipped when any of its cells is
-    non-numeric; an all-numeric first row counts as data.  Blank lines
-    are ignored.
+    A single leading header row is skipped when any of its cells does not
+    parse as a number; an all-numeric first row counts as data.  A
+    non-finite cell (inf, nan) is a FormatError on any line, the first
+    included.  Blank lines are ignored.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -92,26 +99,20 @@ def parse_csv(path: str) -> Matrix:
     for lineno, record in enumerate(rows, start=1):
         if not record or all(cell.strip() == "" for cell in record):
             continue
-        parsed = []
-        bad_col = None
-        for col, cell in enumerate(record, start=1):
-            try:
-                value = float(cell.strip())
-            except ValueError:
-                bad_col = col
-                break
-            if not math.isfinite(value):
-                bad_col = col
-                break
-            parsed.append(value)
-        if bad_col is not None:
+        try:
+            parsed = [float(cell.strip()) for cell in record]
+        except ValueError:
             if header_allowed:
                 header_allowed = False
                 continue
+            parsed = None
+        header_allowed = False
+        if parsed is None or not all(map(math.isfinite, parsed)):
+            bad_col = next(col for col, cell in enumerate(record, start=1)
+                           if not _finite_number(cell))
             raise FormatError(
                 f"non-numeric cell at line {lineno}, column {bad_col}",
                 line=lineno, col=bad_col)
-        header_allowed = False
         if width is None:
             width = len(parsed)
         elif len(parsed) != width:
@@ -124,64 +125,68 @@ def parse_csv(path: str) -> Matrix:
     return Matrix(values)
 
 
-def _fit_ols(data: Matrix, report: FitReport) -> None:
+# Each _fit_* helper returns the report fields its mode fills.
+
+
+def _fit_ols(data: Matrix, request: FitRequest) -> dict:
     if data.cols < 2:
         raise DimensionError("ols: need at least 2 columns (x..., y)")
     arr = data.array
     design = Matrix(np.column_stack([np.ones(data.rows), arr[:, :-1]]))
-    y = Vector(arr[:, -1])
-    solution = solve_ols(design, y, Method.SVD)
-    report.coefficients = solution.coefficients.array.tolist()
-    report.objective = _sum_of_squares(solution.residual_norm, "objective")
-    report.singular_values = solution.sigma.array.tolist()
-    report.unique = not solution.rank_deficient
+    solution = solve_ols(design, Vector(arr[:, -1]), Method.SVD)
+    return dict(
+        coefficients=solution.coefficients.array.tolist(),
+        objective=_sum_of_squares(solution.residual_norm, "objective"),
+        singular_values=solution.sigma.array.tolist(),
+        unique=not solution.rank_deficient)
 
 
-def _fit_geometry(data: Matrix, report: FitReport, line_only: bool) -> None:
-    if line_only and data.cols != 2:
+def _fit_geometry(data: Matrix, request: FitRequest) -> dict:
+    if request.mode == "tls-line" and data.cols != 2:
         raise DimensionError(
             f"tls-line: need exactly 2 columns, got {data.cols}")
     fit = fit_hyperplane_tls(PointCloud(data))
-    report.normal = fit.normal.array.tolist()
-    report.centroid = fit.centroid.array.tolist()
-    report.objective = fit.objective
-    report.singular_values = fit.sigma.array.tolist()
-    report.unique = fit.unique
-    report.expressible = fit.expressible
-    if fit.explicit_coeffs is not None:
-        report.coefficients = fit.explicit_coeffs.array.tolist()
+    explicit = fit.explicit_coeffs
+    return dict(
+        coefficients=None if explicit is None else explicit.array.tolist(),
+        normal=fit.normal.array.tolist(),
+        centroid=fit.centroid.array.tolist(),
+        objective=fit.objective,
+        singular_values=fit.sigma.array.tolist(),
+        unique=fit.unique,
+        expressible=fit.expressible)
 
 
-def _fit_system(data: Matrix, request: FitRequest, report: FitReport) -> None:
+def _fit_system(data: Matrix, request: FitRequest) -> dict:
     if request.rhs_cols != 1:
         raise DimensionError("tls-system: exactly one right-hand-side column")
     if data.cols < 2:
         raise DimensionError("tls-system: need at least 2 columns")
     arr = data.array
-    a = Matrix(arr[:, :-1])
-    b = Vector(arr[:, -1])
-    solution = solve_tls_system(a, b)
-    report.coefficients = solution.coefficients.array.tolist()
-    report.objective = _sum_of_squares(solution.tls_residual, "objective")
-    report.singular_values = solution.sigma.array.tolist()
-    report.unique = solution.unique
+    # The split alone: the report has no use for the nearest system.
+    _, s, _, x, unique = _system_split(Matrix(arr[:, :-1]), Vector(arr[:, -1]))
+    return dict(
+        coefficients=(-x[:, 0]).tolist(),
+        objective=_sum_of_squares(float(s[-1]), "objective"),
+        singular_values=s.tolist(),
+        unique=unique)
 
 
-def _fit_multi(data: Matrix, request: FitRequest, report: FitReport) -> None:
+def _fit_multi(data: Matrix, request: FitRequest) -> dict:
     p = request.rhs_cols
     if not 1 <= p <= data.cols - 1:
         raise DimensionError(
             f"tls-multi: rhs-cols must be in [1, {data.cols - 1}], got {p}")
     arr = data.array
-    solution = solve_tls_multi(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
-    n = data.cols - p
-    report.coefficients = solution.x.array.tolist()
-    report.objective = _sum_of_squares(solution.sigma.array[n:], "objective")
-    report.singular_values = solution.sigma.array.tolist()
-    report.unique = solution.unique
+    _, s, _, x, unique = _multi_split(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
+    return dict(
+        coefficients=x.tolist(),
+        objective=_sum_of_squares(s[data.cols - p:], "objective"),
+        singular_values=s.tolist(),
+        unique=unique)
 
 
-def _fit_fixed(data: Matrix, request: FitRequest, report: FitReport) -> None:
+def _fit_fixed(data: Matrix, request: FitRequest) -> dict:
     j, p = request.frozen_cols, request.rhs_cols
     if j < 0 or p < 1 or j + p >= data.cols:
         raise DimensionError(
@@ -191,10 +196,16 @@ def _fit_fixed(data: Matrix, request: FitRequest, report: FitReport) -> None:
     solution = solve_tls_fixed(
         Matrix(arr[:, :j]), Matrix(arr[:, j:data.cols - p]),
         Matrix(arr[:, data.cols - p:]))
-    report.coefficients = np.vstack(
-        [solution.x1.array, solution.x2.array]).tolist()
-    report.objective = solution.minimized_value
-    report.unique = solution.x1_unique
+    return dict(
+        coefficients=np.vstack(
+            [solution.x1.array, solution.x2.array]).tolist(),
+        objective=solution.minimized_value,
+        unique=solution.x1_unique)
+
+
+_FITS = {"ols": _fit_ols, "tls-line": _fit_geometry,
+         "tls-plane": _fit_geometry, "tls-system": _fit_system,
+         "tls-multi": _fit_multi, "tls-fixed": _fit_fixed}
 
 
 _ERROR_KINDS = (
@@ -218,39 +229,26 @@ def _error_kind(exc: Exception) -> str:
 
 def run(request: FitRequest):
     """Execute one request; returns (FitReport, exit_code)."""
-    report = FitReport(mode=request.mode)
     try:
         if request.mode not in MODES:
             raise ValueError(f"unknown mode {request.mode!r}")
         data = parse_csv(request.input_path)
-        if request.mode == "ols":
-            _fit_ols(data, report)
-        elif request.mode == "tls-line":
-            _fit_geometry(data, report, line_only=True)
-        elif request.mode == "tls-plane":
-            _fit_geometry(data, report, line_only=False)
-        elif request.mode == "tls-system":
-            _fit_system(data, request, report)
-        elif request.mode == "tls-multi":
-            _fit_multi(data, request, report)
-        else:
-            _fit_fixed(data, request, report)
+        filled = _FITS[request.mode](data, request)
     except NoTlsSolutionError as exc:
-        report.error = {
-            "kind": "no_tls_solution",
-            "detail": str(exc),
-            "null_vector": exc.null_vector.array.tolist(),
-        }
-        report.singular_values = exc.sigma.array.tolist()
-        return report, EXIT_NO_TLS_SOLUTION
+        return FitReport(
+            mode=request.mode,
+            singular_values=exc.sigma.array.tolist(),
+            error={"kind": "no_tls_solution", "detail": str(exc),
+                   "null_vector": exc.null_vector.array.tolist()},
+        ), EXIT_NO_TLS_SOLUTION
     except (FitError, OSError, ValueError, MemoryError) as exc:
-        # A fit that fails after filling some fields reports none of them.
+        # A fit that fails reports no solution field.
         return FitReport(mode=request.mode, error={
             "kind": _error_kind(exc),
             "detail": str(exc) or "out of memory",
             "null_vector": None,
         }), EXIT_INPUT_ERROR
-    return report, EXIT_OK
+    return FitReport(mode=request.mode, **filled), EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ is the special case of freezing every column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiRhsSolution:
+class MultiRhsSolution(NamedTuple):
     """Solution X of A X = B in the TLS sense, plus the nearest system."""
 
     x: Matrix
@@ -42,8 +41,7 @@ class MultiRhsSolution:
     unique: bool
 
 
-@dataclass(frozen=True)
-class FixedColsSolution:
+class FixedColsSolution(NamedTuple):
     """Coefficients (X1; X2) of A1 X1 + A2 X2 = B with A1 kept exact.
 
     ``minimized_value`` is the attained value of
@@ -58,14 +56,10 @@ class FixedColsSolution:
     x1_unique: bool
 
 
-def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
-    """Solve A X = B with p right-hand sides in the TLS sense.
-
-    Requires m >= n + p.  Raises NoTlsSolutionError when the trailing
-    block V22 of the right singular matrix is numerically singular; a
-    tied singular-value gap at the partition is reported via
-    ``unique=False``.
-    """
+def _multi_split(a: Matrix, b: Matrix):
+    """The shape checks and split of ``solve_tls_multi``: (c, s, v, x,
+    unique) with c = (A | B), and (s, v, x, unique) from
+    ``_split_or_raise``."""
     m, n = a.rows, a.cols
     p = b.cols
     if b.rows != m:
@@ -78,10 +72,21 @@ def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
             f"solve_tls_multi: need rows >= cols(A) + cols(B), "
             f"got {m} < {n} + {p}")
     c = np.column_stack([a.array, b.array])
-    s, v, x, unique = _split_or_raise(c, n)
+    return (c, *_split_or_raise(c, n))
+
+
+def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
+    """Solve A X = B with p right-hand sides in the TLS sense.
+
+    Requires m >= n + p.  Raises NoTlsSolutionError when the trailing
+    block V22 of the right singular matrix is numerically singular; a
+    tied singular-value gap at the partition is reported via
+    ``unique=False``.
+    """
+    c, s, v, x, unique = _multi_split(a, b)
     return MultiRhsSolution(
         x=Matrix(x),
-        nearest_system=Matrix(_truncate(c, v, n)),
+        nearest_system=Matrix(_truncate(c, v, a.cols)),
         sigma=Vector(s),
         unique=unique,
     )

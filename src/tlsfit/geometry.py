@@ -9,8 +9,7 @@ nonzero last component.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,8 +51,7 @@ class PointCloud:
         return f"PointCloud({self._points.array.tolist()!r})"
 
 
-@dataclass(frozen=True)
-class HyperplaneFit:
+class HyperplaneFit(NamedTuple):
     """Result of a TLS hyperplane fit.
 
     ``objective`` is the minimized sum of squared orthogonal distances,
@@ -89,7 +87,7 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
             f"fit_hyperplane_tls: need at least {n} points in R^{n}, got {m}")
     exponent = _binary_exponent(cloud.points.array)
     centered = np.ldexp(cloud.points.array, -exponent)
-    center = centered.mean(axis=0)
+    center = np.add.reduce(centered, axis=0) / m
     centered -= center
     # y = c0 + slope . x is the one-column TLS split of the centered cloud.
     s, v, x, _, _, unique = _tls_split(centered, n - 1, exponent)

@@ -27,8 +27,9 @@ the solvers build a container only for a value they return.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ def _as_float_array(data, ndim, what):
     if arr.ndim != ndim:
         raise DimensionError(f"{what}: expected {ndim}-dimensional data, "
                              f"got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError(f"{what}: non-finite entries are not admitted")
     return arr
 
@@ -122,8 +123,7 @@ class Vector:
         return f"Vector({self._a.tolist()!r})"
 
 
-@dataclass(frozen=True)
-class QrResult:
+class QrResult(NamedTuple):
     """Full factorization A = Q R with orthogonal Q and upper-triangular R.
 
     R carries a nonnegative diagonal (sign convention).
@@ -133,8 +133,7 @@ class QrResult:
     r_upper: Matrix
 
 
-@dataclass(frozen=True)
-class SvdResult:
+class SvdResult(NamedTuple):
     """Full factorization A = U diag(sigma) V^T of an m x n matrix.
 
     Built only by ``jacobi_svd``: U is m x m, V is n x n and sigma holds
@@ -152,14 +151,15 @@ def _binary_exponent(a) -> int:
     Scaling by 2^-e is exact and puts the largest entry in [0.5, 1), which
     keeps squares and products away from both overflow and underflow.
     """
-    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return math.frexp(float(np.maximum.reduce(np.abs(a), axis=None,
+                                              initial=0.0)))[1]
 
 
 def _ldexp_in_range(a, exponent: int, what: str):
     """a * 2^exponent, or RangeError naming ``what`` when that is beyond
     the float range."""
     largest = abs(a) if isinstance(a, float) else float(
-        np.abs(a).max(initial=0.0))
+        np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
     if largest and math.frexp(largest)[1] + exponent > 1024:
         raise RangeError(f"{what} beyond the float range: {largest:.6g} * "
                          f"2^{exponent} >= 2^1024")
@@ -172,7 +172,8 @@ def _sum_of_squares(a, what: str) -> float:
     float, and a RangeError naming ``what`` where it would overflow."""
     exponent = _binary_exponent(a)
     scaled = np.ldexp(a, -exponent)
-    return float(_ldexp_in_range((scaled * scaled).sum(), 2 * exponent, what))
+    return float(_ldexp_in_range(np.add.reduce(scaled * scaled, axis=None),
+                                 2 * exponent, what))
 
 
 def _rank(s: np.ndarray) -> int:
@@ -419,55 +420,64 @@ def _jacobi_pairs(work: np.ndarray, m: int) -> bool:
     Returns whether a sweep within the budget confirmed every pair."""
     n = work.shape[0]
     rot = np.empty((2, 2))
+    # Rows i and j of every pair, and their columns of W, viewed once.
+    views = [(pair, pair[:, :m]) for pair in (
+        work[i:j + 1:j - i] for i in range(n - 1) for j in range(i + 1, n))]
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                pair = work[i:j + 1:j - i]  # rows i and j
-                w_pair = pair[:, :m]
-                (alpha, gamma), (_, beta) = (w_pair @ w_pair.T).tolist()
-                if alpha <= _FLUSH2 or beta <= _FLUSH2:
-                    # gamma of a flushed column is 0: the pair stays as is.
-                    if alpha <= _FLUSH2:
-                        w_pair[0] = 0.0
-                    if beta <= _FLUSH2:
-                        w_pair[1] = 0.0
-                    continue
-                # sqrt(a)*sqrt(b), not sqrt(a*b): the product can underflow.
-                bound = JACOBI_OFFDIAG_TOL * math.sqrt(alpha) * math.sqrt(beta)
-                if abs(gamma) <= bound:
-                    continue
-                rotated = True
-                t = _tangent(alpha, beta, gamma)
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                rot[0, 0] = rot[1, 1] = c
-                rot[0, 1], rot[1, 0] = -s, s
-                pair[...] = rot @ pair
+        for pair, w_pair in views:
+            (alpha, gamma), (_, beta) = (w_pair @ w_pair.T).tolist()
+            if alpha <= _FLUSH2 or beta <= _FLUSH2:
+                # gamma of a flushed column is 0: the pair stays as is.
+                if alpha <= _FLUSH2:
+                    w_pair[0] = 0.0
+                if beta <= _FLUSH2:
+                    w_pair[1] = 0.0
+                continue
+            # sqrt(a)*sqrt(b), not sqrt(a*b): the product can underflow.
+            bound = JACOBI_OFFDIAG_TOL * math.sqrt(alpha) * math.sqrt(beta)
+            if abs(gamma) <= bound:
+                continue
+            rotated = True
+            t = _tangent(alpha, beta, gamma)
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            rot[0, 0] = rot[1, 1] = c
+            rot[0, 1], rot[1, 0] = -s, s
+            pair[...] = rot @ pair
         if not rotated:
             return True
     return False
 
 
-def _round_robin_shift(seats: int) -> np.ndarray:
-    """Row permutation from one round to the next: row i of the next round
-    is row ``shift[i]`` of this one.
+@functools.cache
+def _round_tables(n: int):
+    """(order, shift): the row tables of round-robin sweeps on n columns,
+    built once per width and read-only.
 
-    Rows 2k and 2k+1 hold the seats k and n-1-k of a round-robin table of
-    n seats.  Seat 0 stays and the others move on by one, so the pair
-    rows (2k, 2k+1) of the next round hold different columns; after n-1
-    shifts every column has met every other once and the rows are back
-    in their first order.
+    Rows 2k and 2k+1 hold the seats k and s-1-k of a round-robin table of
+    s = n + n % 2 seats; odd n seats a virtual column in seat 0, whose row
+    is left out.  ``order[i]`` is the row of ``work`` that row i holds in
+    the first round of every sweep.  Row i of the next round is row
+    ``shift[i]`` of this one: seat 0 stays and the others move on by one,
+    so the pair rows (2k, 2k+1) of the next round hold different columns;
+    after s-1 shifts every column has met every other once and the rows
+    are back in their first order.
     """
+    seats, bye = n + n % 2, n % 2
     h = seats // 2
-    s = np.arange(seats).reshape(h, 2)
-    d = np.empty_like(s)
-    d[0, 0] = s[0, 0]
-    d[1, 0] = s[0, 1]
-    d[2:, 0] = s[1:h - 1, 0]
-    d[:h - 1, 1] = s[1:, 1]
-    d[h - 1, 1] = s[h - 1, 0]
-    return d.reshape(-1)
+    order = np.array([c for k in range(h)
+                      for c in (k, seats - 1 - k)][bye:]) - bye
+    src = np.arange(seats).reshape(h, 2)
+    dst = np.empty_like(src)
+    dst[0, 0] = src[0, 0]
+    dst[1, 0] = src[0, 1]
+    dst[2:, 0] = src[1:h - 1, 0]
+    dst[:h - 1, 1] = src[1:, 1]
+    dst[h - 1, 1] = src[h - 1, 0]
+    shift = dst.reshape(-1)[bye:] - bye
+    order.flags.writeable = shift.flags.writeable = False
+    return order, shift
 
 
 def _float_rotations(gram: list, w_pairs: np.ndarray,
@@ -511,7 +521,7 @@ def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray) -> bool:
     ``_tangent`` run on arrays."""
     squares = np.vecdot(w_pairs, w_pairs)
     gamma = np.vecdot(w_pairs[:, 0], w_pairs[:, 1])
-    if squares.min() <= _FLUSH2:
+    if np.minimum.reduce(squares, axis=None) <= _FLUSH2:
         # A flushed column has gamma 0, which leaves its pair as is.
         flush = squares <= _FLUSH2
         w_pairs[flush] = 0.0
@@ -554,10 +564,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     seats = n + n % 2
     bye = n % 2
     h = seats // 2 - bye
-    # Row of ``work`` held by each row in the first round of every sweep.
-    order = np.array([c for k in range(seats // 2)
-                      for c in (k, seats - 1 - k)][bye:]) - bye
-    shift = _round_robin_shift(seats)[bye:] - bye
+    order, shift = _round_tables(n)
     # Two buffers, each with its views: all rows, the pairs, the pairs'
     # columns of W, and those set up to broadcast to 2 x 2 Gram matrices.
     buffers = []
@@ -611,7 +618,7 @@ def _apply_sign_rule(v: np.ndarray, u) -> None:
         return
     pivot = np.abs(v).argmax(axis=0)
     flip = v.T[np.arange(v.shape[1]), pivot] < 0.0
-    if flip.any():
+    if np.logical_or.reduce(flip):
         v[:, flip] = -v[:, flip]
         if u is not None:
             paired = flip[:u.shape[1]]
@@ -642,30 +649,32 @@ def _thin_svd(a: np.ndarray, with_u: bool = True,
     if on_r:
         # Rows in decreasing max-norm order keep the QR accurate on rows of
         # very different scales (Cox & Higham, BIT 38(1), 1998).
-        row_max = np.abs(a).max(axis=1)
-        rows = np.argsort(-row_max)
+        row_max = np.maximum.reduce(np.abs(a), axis=1)
+        rows = (-row_max).argsort()
         if exponent is None:  # _binary_exponent(a), from the row maxima
-            exponent = math.frexp(float(row_max.max()))[1]
+            exponent = math.frexp(float(np.maximum.reduce(row_max)))[1]
         work = a[rows]  # scaled in place, and freed once R replaces it
         r, y, t, perm = _householder_qr_arrays(
             np.ldexp(work, -exponent, out=work), pivot=True, exponent=0)
         # Row k: column k of X = R^T (row k of R), then column k of J.
-        work = np.hstack([r, np.eye(n)]) if with_u else np.ascontiguousarray(r)
+        work = np.zeros((n, 2 * n)) if with_u else np.empty((n, n))
+        work[:, :n] = r
         swept = n
     else:
         if exponent is None:
             exponent = _binary_exponent(a)
         # Row k: column k of A, then column k of V.
-        work = np.empty((n, m + n))
+        work = np.zeros((n, m + n))
         np.ldexp(a.T, -exponent, out=work[:, :m])
-        work[:, m:] = np.eye(n)
         swept = m
+    if work.shape[1] > swept:  # J or V starts as the identity
+        work.reshape(-1)[swept::work.shape[1] + 1] = 1.0
     _jacobi_sweeps(work, swept, "R^T" if on_r else "A")
     w = work[:, :swept]
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     # Columns of W over sigma; a zero column stays zero.
     np.divide(w, norms[:, None], out=w, where=norms[:, None] > 0.0)
-    order = np.argsort(-norms, kind="stable")
+    order = (-norms).argsort(kind="stable")
     scaled = norms[order]
     # Fancy-indexed rows, transposed: column-major factors.
     if on_r:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class Method(enum.Enum):
     CLOSED_FORM = "closed-form"
 
 
-@dataclass(frozen=True)
-class OlsSolution:
+class OlsSolution(NamedTuple):
     """Minimizer of ||A c - y||_2 with its residual norm; the SVD method
     also returns the singular values of A as ``sigma``."""
 
@@ -71,10 +69,10 @@ def simple_regression(x: Vector, y: Vector) -> OlsSolution:
         raise DimensionError("simple_regression: need at least 2 points")
     ex, ey = _binary_exponent(x.array), _binary_exponent(y.array)
     xs, ys = np.ldexp(x.array, -ex), np.ldexp(y.array, -ey)
-    if np.ptp(xs) == 0.0:
+    if np.maximum.reduce(xs) == np.minimum.reduce(xs):
         raise DegenerateAbscissaError(
             "simple_regression: all abscissae equal, slope undefined")
-    xbar, ybar = xs.mean(), ys.mean()
+    xbar, ybar = np.add.reduce(xs) / len(xs), np.add.reduce(ys) / len(ys)
     dx = xbar - xs
     b = float(dx @ (ybar - ys)) / float(dx @ dx)
     a = ybar - b * xbar
@@ -98,8 +96,9 @@ def _norm(r: np.ndarray, scale: int = 0) -> float:
     that the squares neither overflow nor underflow; RangeError when it is
     beyond the float range."""
     exponent = _binary_exponent(r)
-    return float(_ldexp_in_range(np.linalg.norm(np.ldexp(r, -exponent)),
-                                 exponent + scale, "residual norm"))
+    r = np.ldexp(r, -exponent)
+    return float(_ldexp_in_range(math.sqrt(r @ r), exponent + scale,
+                                 "residual norm"))
 
 
 def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -114,7 +113,7 @@ def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     gram, rhs = a.T @ a, a.T @ y
     n = gram.shape[0]
-    scale = float(gram.diagonal().max(initial=0.0))
+    scale = float(np.maximum.reduce(gram.diagonal(), initial=0.0))
     if scale <= 0.0:
         raise RankDeficiencyError("normal equations: zero Gram matrix")
     low = np.zeros((n, n))
@@ -187,7 +186,8 @@ def _scaled_solution(a_s: np.ndarray, ea: int, ys: np.ndarray,
     if method is Method.QR:
         r, q_y, q_t = _householder_qr_arrays(a_s, exponent=0)
         diag = np.abs(r.diagonal())
-        if a_s.shape[1] and diag.min() <= RANK_REL_TOL * diag.max():
+        if a_s.shape[1] and (np.minimum.reduce(diag)
+                             <= RANK_REL_TOL * np.maximum.reduce(diag)):
             raise RankDeficiencyError(
                 "qr: triangular factor has a negligible diagonal entry")
         rhs = _reflect(q_y, q_t.T, ys)[:a_s.shape[1]]

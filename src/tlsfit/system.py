@@ -10,7 +10,7 @@ common (A | b) convention with (c; -1) has identical singular values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .tolerances import EXISTENCE_TOL, GAP_TOL
 __all__ = ["TlsSystemSolution", "augment", "solve_tls_system", "tls_objective"]
 
 
-@dataclass(frozen=True)
-class TlsSystemSolution:
+class TlsSystemSolution(NamedTuple):
     """Coefficients plus the nearest solvable system (F | -g).
 
     ``tls_residual`` is the smallest singular value of (A | -b): the
@@ -80,6 +79,17 @@ def _split_or_raise(c: np.ndarray, n: int):
     return s, v, x, unique
 
 
+def _system_split(a: Matrix, b: Vector):
+    """The shape check and split of ``solve_tls_system``: (c, s, v, x,
+    unique) with c = (A | -b), and (s, v, x, unique) from
+    ``_split_or_raise``."""
+    if a.rows < a.cols + 1:
+        raise DimensionError(
+            f"solve_tls_system: need rows > cols, got {a.rows} x {a.cols}")
+    c = augment(a, b).array
+    return (c, *_split_or_raise(c, a.cols))
+
+
 def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     """Solve A x = b in the TLS sense via the SVD of (A | -b).
 
@@ -90,11 +100,7 @@ def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     through ``unique=False`` rather than an error.
     """
     n = a.cols
-    if a.rows < n + 1:
-        raise DimensionError(
-            f"solve_tls_system: need rows > cols, got {a.rows} x {n}")
-    c = augment(a, b).array
-    s, v, x, unique = _split_or_raise(c, n)
+    c, s, v, x, unique = _system_split(a, b)
     return TlsSystemSolution(
         coefficients=Vector(-x[:, 0]),
         nearest_system=Matrix(_truncate(c, v, n)),

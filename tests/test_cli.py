@@ -68,6 +68,33 @@ def test_parse_rejects_non_finite(tmp_path):
         parse_csv(write(tmp_path, "inf.csv", "1,2\n3,inf\n"))
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("1,inf\n2,3\n4,5.5\n6,7\n", 1, 2),  # first row: not a header
+    ("2,3\n1,inf\n4,5.5\n6,7\n", 2, 2),
+    ("nan,1\n2,3\n4,5.5\n", 1, 1),
+])
+def test_parse_rejects_non_finite_on_any_line(tmp_path, capsys, text, line,
+                                              col):
+    """Only a cell that does not parse as a float makes row 1 a header; a
+    cell that parses to inf or nan is a format error on every line."""
+    path = write(tmp_path, "nonfinite.csv", text)
+    with pytest.raises(FormatError) as info:
+        parse_csv(path)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert main(["tls-line", "--input", path]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["kind"] == "format_error"
+    assert captured.err == (f"fit: format_error: non-numeric cell at line "
+                            f"{line}, column {col}\n")
+
+
+def test_parse_header_with_non_finite_and_text_cells(tmp_path):
+    """A first row with a cell that is no number is a header, whatever its
+    other cells hold."""
+    mat = parse_csv(write(tmp_path, "h.csv", "inf,x\n1,2\n3,4\n"))
+    assert np.array_equal(mat.array, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_parse_empty_file(tmp_path):
     with pytest.raises(EmptyDataError):
         parse_csv(write(tmp_path, "empty.csv", ""))
@@ -204,7 +231,7 @@ def test_memory_error_is_a_typed_report(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError()
 
-    monkeypatch.setattr("tlsfit.cli.solve_tls_system", exhausted)
+    monkeypatch.setattr("tlsfit.cli._system_split", exhausted)
     path = write(tmp_path, "e1.csv", SQUARE_CSV)
     report, code = run(FitRequest(mode="tls-system", input_path=path))
     assert code == EXIT_INPUT_ERROR

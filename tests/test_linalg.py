@@ -355,6 +355,53 @@ def test_zero_singular_values_complete_v(zeros):
         assert_svd_invariants(a, jacobi_svd(Matrix(a)))
 
 
+# One column, the shape of V22 in every p = 1 TLS split: 1 x 1 entries of
+# each sign and zero, and m x 1 columns whose largest entry is negative,
+# positive or that are zero.  Norms are exact: 5 = |(-3, 4)|, 13 = |(5, 12)|.
+@pytest.mark.parametrize("column", [[-3.0], [2.5], [0.0],
+                                    [3.0, 0.0, -4.0], [0.0, -5.0, 12.0],
+                                    [0.0, 0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("with_u", [True, False])
+def test_thin_svd_of_one_column(column, with_u):
+    """sigma = ||a||, V = [[1]] and U = a / sigma, bit for bit; a zero
+    column gives sigma = 0, V = [[1]] and a zero U column (the docstring's
+    "unspecified" columns of U are zero on this path)."""
+    a = np.array(column)[:, None]
+    u, s, v = _thin_svd(a, with_u)
+    norm = math.hypot(*column)
+    assert s.tolist() == [norm]
+    assert v.tolist() == [[1.0]]
+    if not with_u:
+        assert u is None
+    elif norm:
+        assert u.tolist() == [[x / norm] for x in column]
+    else:
+        assert not u.any()
+
+
+def test_round_tables_are_cached_read_only():
+    """The round-robin tables are built once per width and cannot be
+    written; sweeping the same input twice gives the same bits, and the
+    tables are unchanged afterwards."""
+    for n in (4, 5, 12, 2 * _FLOAT_MAX_PAIRS + 3):
+        order, shift = linalg._round_tables(n)
+        assert linalg._round_tables(n)[0] is order
+        kept = order.copy(), shift.copy()
+        for table in (order, shift):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+        a = np.random.default_rng(n).standard_normal((3 * n, n))
+        swept = []
+        for _ in range(2):
+            work = np.hstack([a.T, np.eye(n)])
+            assert _jacobi_rounds(work, 3 * n)
+            swept.append(work)
+        assert np.array_equal(swept[0], swept[1])
+        assert np.array_equal(order, kept[0])
+        assert np.array_equal(shift, kept[1])
+
+
 def test_tangent_matches_the_zeta_form():
     """The rotation's t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)) agrees
     to 4 ulps with Rutishauser's sign(zeta) / (|zeta| + sqrt(1 + zeta^2)),
