@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -27,15 +28,13 @@ from .errors import (
     RangeError,
     RankDeficiencyError,
 )
-from .extensions import _multi_split, solve_tls_fixed
+from .extensions import solve_tls_fixed, solve_tls_multi
 from .geometry import PointCloud, fit_hyperplane_tls
 from .linalg import Matrix, Vector, _sum_of_squares
 from .ols import Method, solve_ols
-from .system import _system_split
+from .system import solve_tls_system
 
 __all__ = ["FitRequest", "FitReport", "parse_csv", "run", "main"]
-
-MODES = ("ols", "tls-line", "tls-plane", "tls-system", "tls-multi", "tls-fixed")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -89,10 +88,22 @@ def parse_csv(path: str) -> Matrix:
     A single leading header row is skipped when any of its cells does not
     parse as a number; an all-numeric first row counts as data.  A
     non-finite cell (inf, nan) is a FormatError on any line, the first
-    included.  Blank lines are ignored.
+    included.  Blank lines are ignored.  The file is UTF-8, with or
+    without a leading byte order mark; a byte that is not UTF-8 is a
+    FormatError naming its line.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        # One byte appended stands in for the line the bad byte is on.
+        lineno = len((raw[:exc.start] + b".").splitlines())
+        raise FormatError(f"non-UTF-8 byte 0x{raw[exc.start]:02x} at line "
+                          f"{lineno}", line=lineno) from None
+    # Lines end at \n, \r or \r\n only, as in a file opened with
+    # newline=""; str.splitlines would also split at \x1c, \x85 and more.
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     width = None
     values = []
     header_allowed = True
@@ -163,13 +174,12 @@ def _fit_system(data: Matrix, request: FitRequest) -> dict:
     if data.cols < 2:
         raise DimensionError("tls-system: need at least 2 columns")
     arr = data.array
-    # The split alone: the report has no use for the nearest system.
-    _, s, _, x, unique = _system_split(Matrix(arr[:, :-1]), Vector(arr[:, -1]))
+    solution = solve_tls_system(Matrix(arr[:, :-1]), Vector(arr[:, -1]))
     return dict(
-        coefficients=(-x[:, 0]).tolist(),
-        objective=_sum_of_squares(float(s[-1]), "objective"),
-        singular_values=s.tolist(),
-        unique=unique)
+        coefficients=solution.coefficients.array.tolist(),
+        objective=_sum_of_squares(solution.tls_residual, "objective"),
+        singular_values=solution.sigma.array.tolist(),
+        unique=solution.unique)
 
 
 def _fit_multi(data: Matrix, request: FitRequest) -> dict:
@@ -178,12 +188,13 @@ def _fit_multi(data: Matrix, request: FitRequest) -> dict:
         raise DimensionError(
             f"tls-multi: rhs-cols must be in [1, {data.cols - 1}], got {p}")
     arr = data.array
-    _, s, _, x, unique = _multi_split(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
+    solution = solve_tls_multi(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
+    s = solution.sigma.array
     return dict(
-        coefficients=x.tolist(),
+        coefficients=solution.x.array.tolist(),
         objective=_sum_of_squares(s[data.cols - p:], "objective"),
         singular_values=s.tolist(),
-        unique=unique)
+        unique=solution.unique)
 
 
 def _fit_fixed(data: Matrix, request: FitRequest) -> dict:
@@ -206,6 +217,7 @@ def _fit_fixed(data: Matrix, request: FitRequest) -> dict:
 _FITS = {"ols": _fit_ols, "tls-line": _fit_geometry,
          "tls-plane": _fit_geometry, "tls-system": _fit_system,
          "tls-multi": _fit_multi, "tls-fixed": _fit_fixed}
+MODES = tuple(_FITS)
 
 
 _ERROR_KINDS = (
@@ -282,10 +294,8 @@ def render_json(report: FitReport) -> str:
 
 
 def render_text(report: FitReport) -> str:
-    lines = []
-    for name, value in report.fields():
-        lines.append(f"{name}: {_json_value(value)}")
-    return "\n".join(lines)
+    return "\n".join(f"{name}: {_json_value(value)}"
+                     for name, value in report.fields())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,6 +312,7 @@ def main(argv=None) -> int:
                     "report coefficients plus diagnostics.")
     parser.add_argument("mode", choices=MODES, help="fitting mode")
     parser.add_argument("--input", required=True, metavar="PATH",
+                        dest="input_path",
                         help="rectangular numeric CSV (optional header row)")
     parser.add_argument("--rhs-cols", type=int, default=1, metavar="N",
                         help="number of trailing right-hand-side columns "
@@ -310,14 +321,7 @@ def main(argv=None) -> int:
                         help="number of leading frozen columns (tls-fixed)")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         dest="output_format", help="report format")
-    args = parser.parse_args(argv)
-    request = FitRequest(
-        mode=args.mode,
-        input_path=args.input,
-        rhs_cols=args.rhs_cols,
-        frozen_cols=args.frozen_cols,
-        output_format=args.output_format,
-    )
+    request = FitRequest(**vars(parser.parse_args(argv)))
     report, code = run(request)
     render = render_json if request.output_format == "json" else render_text
     sys.stdout.write(render(report) + "\n")

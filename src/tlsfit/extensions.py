@@ -56,10 +56,14 @@ class FixedColsSolution(NamedTuple):
     x1_unique: bool
 
 
-def _multi_split(a: Matrix, b: Matrix):
-    """The shape checks and split of ``solve_tls_multi``: (c, s, v, x,
-    unique) with c = (A | B), and (s, v, x, unique) from
-    ``_split_or_raise``."""
+def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
+    """Solve A X = B with p right-hand sides in the TLS sense.
+
+    Requires m >= n + p.  Raises NoTlsSolutionError when the trailing
+    block V22 of the right singular matrix is numerically singular; a
+    tied singular-value gap at the partition is reported via
+    ``unique=False``.
+    """
     m, n = a.rows, a.cols
     p = b.cols
     if b.rows != m:
@@ -72,21 +76,10 @@ def _multi_split(a: Matrix, b: Matrix):
             f"solve_tls_multi: need rows >= cols(A) + cols(B), "
             f"got {m} < {n} + {p}")
     c = np.column_stack([a.array, b.array])
-    return (c, *_split_or_raise(c, n))
-
-
-def solve_tls_multi(a: Matrix, b: Matrix) -> MultiRhsSolution:
-    """Solve A X = B with p right-hand sides in the TLS sense.
-
-    Requires m >= n + p.  Raises NoTlsSolutionError when the trailing
-    block V22 of the right singular matrix is numerically singular; a
-    tied singular-value gap at the partition is reported via
-    ``unique=False``.
-    """
-    c, s, v, x, unique = _multi_split(a, b)
+    s, v, x, unique = _split_or_raise(c, n)
     return MultiRhsSolution(
         x=Matrix(x),
-        nearest_system=Matrix(_truncate(c, v, a.cols)),
+        nearest_system=Matrix(_truncate(c, v, n)),
         sigma=Vector(s),
         unique=unique,
     )

@@ -36,12 +36,20 @@ class TlsSystemSolution(NamedTuple):
     tls_residual: float
 
 
-def augment(a: Matrix, b: Vector) -> Matrix:
-    """The m x (n+1) augmented matrix (A | -b)."""
+def _augmented(a: Matrix, b: Vector) -> np.ndarray:
+    """(A | -b) as a column-major array, from the validated A and b."""
     if b.len != a.rows:
         raise DimensionError(
             f"augment: b has length {b.len}, expected {a.rows}")
-    return Matrix(np.column_stack([a.array, -b.array]))
+    c = np.empty((a.rows, a.cols + 1), order="F")
+    c[:, :-1] = a.array
+    np.negative(b.array, out=c[:, -1])
+    return c
+
+
+def augment(a: Matrix, b: Vector) -> Matrix:
+    """The m x (n+1) augmented matrix (A | -b)."""
+    return Matrix(_augmented(a, b))
 
 
 def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
@@ -79,17 +87,6 @@ def _split_or_raise(c: np.ndarray, n: int):
     return s, v, x, unique
 
 
-def _system_split(a: Matrix, b: Vector):
-    """The shape check and split of ``solve_tls_system``: (c, s, v, x,
-    unique) with c = (A | -b), and (s, v, x, unique) from
-    ``_split_or_raise``."""
-    if a.rows < a.cols + 1:
-        raise DimensionError(
-            f"solve_tls_system: need rows > cols, got {a.rows} x {a.cols}")
-    c = augment(a, b).array
-    return (c, *_split_or_raise(c, a.cols))
-
-
 def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     """Solve A x = b in the TLS sense via the SVD of (A | -b).
 
@@ -100,7 +97,11 @@ def solve_tls_system(a: Matrix, b: Vector) -> TlsSystemSolution:
     through ``unique=False`` rather than an error.
     """
     n = a.cols
-    c, s, v, x, unique = _system_split(a, b)
+    if a.rows < n + 1:
+        raise DimensionError(
+            f"solve_tls_system: need rows > cols, got {a.rows} x {n}")
+    c = _augmented(a, b)
+    s, v, x, unique = _split_or_raise(c, n)
     return TlsSystemSolution(
         coefficients=Vector(-x[:, 0]),
         nearest_system=Matrix(_truncate(c, v, n)),

@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from tlsfit import EmptyDataError, FormatError, Matrix, Vector, tls_objective
+from tlsfit import (
+    EmptyDataError,
+    FormatError,
+    Matrix,
+    NoTlsSolutionError,
+    Vector,
+    solve_tls_multi,
+    solve_tls_system,
+    tls_objective,
+)
 from tlsfit.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_TLS_SOLUTION,
@@ -19,14 +28,22 @@ from tlsfit.cli import (
     render_text,
     run,
 )
+from tlsfit.linalg import _sum_of_squares
 
 SQUARE_CSV = "1,1\n-1,1\n1,-1\n-1,-1\n"
 NO_SOLUTION_CSV = "1,0,1\n0,0,1\n0,0,1\n"
+BOM = b"\xef\xbb\xbf"
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
     return str(path)
 
 
@@ -107,6 +124,40 @@ def test_parse_crlf_and_trailing_blank(tmp_path):
     assert np.array_equal(mat.array, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_parse_leading_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte order mark is not part of row 1: that row stays data,
+    and a header row after the mark is still skipped."""
+    rows = b"0,0\n1,1\n2,2.5\n3,2.9\n"
+    plain = parse_csv(write_bytes(tmp_path, "plain.csv", rows)).array
+    marked = write_bytes(tmp_path, "bom.csv", BOM + rows)
+    assert np.array_equal(parse_csv(marked).array, plain)
+    headed = write_bytes(tmp_path, "bom_header.csv",
+                         BOM + b"x,y\r\n" + rows.replace(b"\n", b"\r\n"))
+    assert np.array_equal(parse_csv(headed).array, plain)
+    assert main(["tls-line", "--input", marked]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["centroid"] == [1.5, 1.6]
+
+
+@pytest.mark.parametrize("data, line, byte", [
+    (b"0,0\n1,1\xff\n2,2.5\n", 2, 0xFF),
+    (b"\xfex,y\n0,0\n1,1\n", 1, 0xFE),
+    (BOM + b"x,y\r\n0,0\r\n1,\xc3\r\n", 3, 0xC3),  # cut-off sequence
+    (b"0,0\r1,1\r\xe9,2\r", 3, 0xE9),  # Latin-1, CR line ends
+], ids=["line-2", "line-1", "after-bom", "cr-line-ends"])
+def test_parse_non_utf8_byte_is_a_format_error(tmp_path, capsys, data, line,
+                                               byte):
+    """A byte that is not UTF-8 is a format error naming its line."""
+    path = write_bytes(tmp_path, "latin1.csv", data)
+    with pytest.raises(FormatError) as info:
+        parse_csv(path)
+    assert (info.value.line, info.value.col) == (line, None)
+    assert main(["tls-line", "--input", path]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["kind"] == "format_error"
+    assert captured.err == (f"fit: format_error: non-UTF-8 byte "
+                            f"0x{byte:02x} at line {line}\n")
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -132,6 +183,63 @@ def test_run_no_solution_tls_system(tmp_path):
     null = np.array(report.error["null_vector"])
     assert np.allclose(np.abs(null), [0.0, 1.0, 0.0], atol=1e-10)
     assert report.singular_values[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+def system_cases():
+    """(mode, p, data, exit code): random systems, a tied spectrum and two
+    inputs with no TLS solution."""
+    rng = np.random.default_rng(17)
+    cases = [pytest.param("tls-system", 1, rng.standard_normal((m, n)),
+                          EXIT_OK, id=f"tls-system-{m}x{n}")
+             for m, n in ((3, 2), (12, 3), (200, 8))]
+    cases += [pytest.param("tls-multi", p, rng.standard_normal((m, n)),
+                           EXIT_OK, id=f"tls-multi-{m}x{n}-p{p}")
+              for m, n, p in ((5, 3, 1), (30, 5, 2), (600, 10, 3))]
+    no_solution = rng.standard_normal((20, 5))
+    no_solution[:, 0] = 0.0
+    return cases + [
+        pytest.param("tls-system", 1,
+                     np.loadtxt(SQUARE_CSV.splitlines(), delimiter=","),
+                     EXIT_OK, id="tied"),
+        pytest.param("tls-system", 1,
+                     np.loadtxt(NO_SOLUTION_CSV.splitlines(), delimiter=","),
+                     EXIT_NO_TLS_SOLUTION, id="tls-system-no-solution"),
+        pytest.param("tls-multi", 2, no_solution, EXIT_NO_TLS_SOLUTION,
+                     id="tls-multi-no-solution"),
+    ]
+
+
+@pytest.mark.parametrize("mode, p, data, exit_code", system_cases())
+def test_system_modes_report_the_public_solver_record(tmp_path, capsys, mode,
+                                                      p, data, exit_code):
+    """tls-system and tls-multi report the public solver's record bit for
+    bit; the objective is the sum of squares of the trailing sigma."""
+    n = data.shape[1] - p
+    a, b = Matrix(data[:, :n]), data[:, n:]
+    path = write_rows(tmp_path, "system.csv", data)
+    assert main([mode, "--input", path, "--rhs-cols", str(p)]) == exit_code
+    report = json.loads(capsys.readouterr().out)
+    try:
+        if mode == "tls-system":
+            solution = solve_tls_system(a, Vector(b[:, 0]))
+            coefficients = solution.coefficients.array.tolist()
+            assert solution.tls_residual == solution.sigma[n]
+        else:
+            solution = solve_tls_multi(a, Matrix(b))
+            coefficients = solution.x.array.tolist()
+    except NoTlsSolutionError as exc:
+        assert exit_code == EXIT_NO_TLS_SOLUTION
+        assert report["error"]["kind"] == "no_tls_solution"
+        assert report["error"]["detail"] == str(exc)
+        assert report["error"]["null_vector"] == exc.null_vector.array.tolist()
+        assert report["singular_values"] == exc.sigma.array.tolist()
+        return
+    sigma = solution.sigma.array
+    assert exit_code == EXIT_OK
+    assert report["coefficients"] == coefficients
+    assert report["singular_values"] == sigma.tolist()
+    assert report["unique"] is solution.unique
+    assert report["objective"] == _sum_of_squares(sigma[n:], "objective")
 
 
 def test_run_ols_collinear(tmp_path):
@@ -231,7 +339,7 @@ def test_memory_error_is_a_typed_report(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError()
 
-    monkeypatch.setattr("tlsfit.cli._system_split", exhausted)
+    monkeypatch.setattr("tlsfit.cli.solve_tls_system", exhausted)
     path = write(tmp_path, "e1.csv", SQUARE_CSV)
     report, code = run(FitRequest(mode="tls-system", input_path=path))
     assert code == EXIT_INPUT_ERROR
