@@ -109,9 +109,13 @@ def fit_hyperplane_tls(cloud: PointCloud) -> HyperplaneFit:
 
 
 def point_hyperplane_distance(fit: HyperplaneFit, z: Vector) -> float:
-    """Euclidean distance |r . (z - centroid)| from a point to the fit."""
+    """Euclidean distance |r . (z - centroid)| from a point to the fit, on
+    z and the centroid scaled by one exact power of two (RangeError beyond
+    the float range)."""
     if z.len != fit.centroid.len:
         raise DimensionError(
             f"point_hyperplane_distance: point has dimension {z.len}, "
             f"fit lives in R^{fit.centroid.len}")
-    return float(abs(fit.normal.array @ (z.array - fit.centroid.array)))
+    e = max(_binary_exponent(z.array), _binary_exponent(fit.centroid.array))
+    diff = np.ldexp(z.array, -e) - np.ldexp(fit.centroid.array, -e)
+    return float(_ldexp_in_range(abs(fit.normal.array @ diff), e, "distance"))

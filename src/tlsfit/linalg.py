@@ -44,21 +44,40 @@ __all__ = ["Matrix", "Vector", "QrResult", "SvdResult", "householder_qr",
            "jacobi_svd"]
 
 
-def _as_float_array(data, ndim, what):
-    try:
-        arr = np.array(data, dtype=float, order="F")
-    except (TypeError, ValueError) as exc:
-        raise DimensionError(f"{what}: entries do not form a rectangular "
-                             f"numeric array ({exc})") from None
-    if arr.ndim != ndim:
-        raise DimensionError(f"{what}: expected {ndim}-dimensional data, "
-                             f"got shape {arr.shape}")
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
-        raise ValueError(f"{what}: non-finite entries are not admitted")
-    return arr
+class _Array:
+    """The body of ``Matrix`` and ``Vector``: an immutable, finite, dense
+    real array of ``_ndim`` dimensions, copied and stored column-major."""
+
+    __slots__ = ("_a",)
+
+    def __init__(self, data):
+        what = type(self).__name__
+        try:
+            a = np.array(data, dtype=float, order="F")
+        except (TypeError, ValueError) as exc:
+            raise DimensionError(f"{what}: entries do not form a rectangular "
+                                 f"numeric array ({exc})") from None
+        if a.ndim != self._ndim:
+            raise DimensionError(f"{what}: expected {self._ndim}-dimensional "
+                                 f"data, got shape {a.shape}")
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
+            raise ValueError(f"{what}: non-finite entries are not admitted")
+        a.flags.writeable = False
+        self._a = a
+
+    @property
+    def array(self) -> np.ndarray:
+        """Read-only ndarray view of the entries."""
+        return self._a
+
+    def __getitem__(self, idx):
+        return float(self._a[idx])
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._a.tolist()!r})"
 
 
-class Matrix:
+class Matrix(_Array):
     """Immutable dense real matrix stored column-major.
 
     Accepts a nested sequence or a 2-d ndarray; the entries are copied and
@@ -66,11 +85,8 @@ class Matrix:
     column blocks (e.g. "no frozen columns") remain expressible.
     """
 
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        self._a = _as_float_array(data, 2, "Matrix")
-        self._a.flags.writeable = False
+    __slots__ = ()
+    _ndim = 2
 
     @property
     def rows(self) -> int:
@@ -84,43 +100,19 @@ class Matrix:
     def shape(self):
         return self._a.shape
 
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only ndarray view of the entries."""
-        return self._a
 
-    def __getitem__(self, idx):
-        return float(self._a[idx])
-
-    def __repr__(self):
-        return f"Matrix({self._a.tolist()!r})"
-
-
-class Vector:
+class Vector(_Array):
     """Immutable dense real vector with finite entries."""
 
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        self._a = _as_float_array(data, 1, "Vector")
-        self._a.flags.writeable = False
+    __slots__ = ()
+    _ndim = 1
 
     @property
     def len(self) -> int:
         return self._a.shape[0]
 
-    @property
-    def array(self) -> np.ndarray:
-        return self._a
-
     def __len__(self):
         return self._a.shape[0]
-
-    def __getitem__(self, idx):
-        return float(self._a[idx])
-
-    def __repr__(self):
-        return f"Vector({self._a.tolist()!r})"
 
 
 class QrResult(NamedTuple):
@@ -625,8 +617,7 @@ def _apply_sign_rule(v: np.ndarray, u) -> None:
             u[:, paired] = -u[:, paired]
 
 
-def _thin_svd(a: np.ndarray, with_u: bool = True,
-              exponent: int | None = None):
+def _thin_svd(a: np.ndarray, with_u: bool = True):
     """Thin SVD (u, s, v) of an m x n array with m >= n via one-sided Jacobi.
 
     u is m x n, or None unless ``with_u``; its columns for exactly zero
@@ -640,8 +631,7 @@ def _thin_svd(a: np.ndarray, with_u: bool = True,
     2008) do: rows sorted, it is factored A P = Q R by the pivoted QR, and
     the sweeps run on X = R^T.  X J = W with orthogonal columns gives
     V = P W / sigma and, only when asked for, U = Q [J; 0].  Smaller
-    inputs are swept as they are.  ``exponent``, when given, is
-    ``_binary_exponent(a)``, which the caller has already taken.
+    inputs are swept as they are.
     """
     m, n = a.shape
     on_r = n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
@@ -651,8 +641,8 @@ def _thin_svd(a: np.ndarray, with_u: bool = True,
         # very different scales (Cox & Higham, BIT 38(1), 1998).
         row_max = np.maximum.reduce(np.abs(a), axis=1)
         rows = (-row_max).argsort()
-        if exponent is None:  # _binary_exponent(a), from the row maxima
-            exponent = math.frexp(float(np.maximum.reduce(row_max)))[1]
+        # _binary_exponent(a), from the row maxima.
+        exponent = math.frexp(float(np.maximum.reduce(row_max)))[1]
         work = a[rows]  # scaled in place, and freed once R replaces it
         r, y, t, perm = _householder_qr_arrays(
             np.ldexp(work, -exponent, out=work), pivot=True, exponent=0)
@@ -661,8 +651,7 @@ def _thin_svd(a: np.ndarray, with_u: bool = True,
         work[:, :n] = r
         swept = n
     else:
-        if exponent is None:
-            exponent = _binary_exponent(a)
+        exponent = _binary_exponent(a)
         # Row k: column k of A, then column k of V.
         work = np.zeros((n, m + n))
         np.ldexp(a.T, -exponent, out=work[:, :m])

@@ -47,10 +47,12 @@ class OlsSolution(NamedTuple):
 
 
 def mean_1d(x: Vector) -> float:
-    """Arithmetic mean: the unique minimizer of sum_i (x_i - z)^2."""
+    """Arithmetic mean: the unique minimizer of sum_i (x_i - z)^2, taken on
+    x scaled by an exact power of two (RangeError beyond the float range)."""
     if x.len == 0:
         raise EmptyDataError("mean_1d: empty input")
-    return float(x.array.mean())
+    e = _binary_exponent(x.array)
+    return float(_ldexp_in_range(np.ldexp(x.array, -e).mean(), e, "mean"))
 
 
 def simple_regression(x: Vector, y: Vector) -> OlsSolution:
@@ -114,7 +116,7 @@ def _normal_equations(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     gram, rhs = a.T @ a, a.T @ y
     n = gram.shape[0]
     scale = float(np.maximum.reduce(gram.diagonal(), initial=0.0))
-    if scale <= 0.0:
+    if n and scale <= 0.0:
         raise RankDeficiencyError("normal equations: zero Gram matrix")
     low = np.zeros((n, n))
     for j in range(n):
@@ -193,7 +195,7 @@ def _scaled_solution(a_s: np.ndarray, ea: int, ys: np.ndarray,
         rhs = _reflect(q_y, q_t.T, ys)[:a_s.shape[1]]
         return _solve_upper(r, rhs), False, None
     if method is Method.SVD:
-        u, s, v = _thin_svd(a_s, exponent=0)
+        u, s, v = _thin_svd(a_s)
         return (_pinv(u, s, v, ys), _rank(s) < a_s.shape[1],
                 Vector(_ldexp_in_range(s, ea, "singular values")))
     raise ValueError(f"solve_ols: unknown method {method!r}")

@@ -153,6 +153,24 @@ def test_distance_square_pair_sums_to_two():
     assert d1 ** 2 + d2 ** 2 == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("points, z, distance", [
+    ([[-1.5e308, 0.0], [-1.4e308, 0.0], [-1.6e308, 0.0]], [1e308, 2.0], 2.0),
+    ([[-1.5e308, 0.0], [-1.5e308, 1.0], [-1.5e308, 2.0]], [1.5e308, 0.0],
+     None),
+])
+def test_distance_of_points_near_the_float_limit(points, z, distance):
+    """z - centroid would overflow here: the distance is still the float
+    it is, and one beyond the float range (3e308) raises RangeError, not
+    inf."""
+    fit = fit_hyperplane_tls(PointCloud(points))
+    if distance is None:
+        with pytest.raises(RangeError,
+                           match="^distance beyond the float range"):
+            point_hyperplane_distance(fit, Vector(z))
+    else:
+        assert point_hyperplane_distance(fit, Vector(z)) == distance
+
+
 def test_distance_dimension_mismatch():
     fit = fit_hyperplane_tls(PointCloud(SQUARE_CORNERS))
     with pytest.raises(DimensionError):

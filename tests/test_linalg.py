@@ -73,6 +73,42 @@ def test_matrix_is_immutable():
         m.array[0, 0] = 7.0
 
 
+def test_containers_are_immutable():
+    """No attribute can be set, and the array is read-only."""
+    for container in (Matrix([[1.0]]), Vector([1.0])):
+        assert not hasattr(container, "__dict__")
+        with pytest.raises(AttributeError):
+            container.extra = 1
+        with pytest.raises(AttributeError):
+            container.array = np.zeros(1)
+        with pytest.raises(ValueError):
+            container.array[0] = 7.0
+
+
+def test_container_reprs():
+    assert repr(Matrix([[1.0, 2.0], [3.0, 4.5]])) == \
+        "Matrix([[1.0, 2.0], [3.0, 4.5]])"
+    assert repr(Matrix(np.zeros((2, 0)))) == "Matrix([[], []])"
+    assert repr(Vector([1.0, -0.5])) == "Vector([1.0, -0.5])"
+    assert repr(Vector([])) == "Vector([])"
+
+
+def test_vector_validation_names_the_class():
+    with pytest.raises(DimensionError,
+                       match=re.escape("Vector: expected 1-dimensional data, "
+                                       "got shape (1, 2)")):
+        Vector([[1.0, 2.0]])
+    with pytest.raises(ValueError,
+                       match="^Vector: non-finite entries are not admitted$"):
+        Vector([1.0, float("inf")])
+    with pytest.raises(DimensionError, match="^Vector: entries do not form"):
+        Vector(["a"])
+    with pytest.raises(DimensionError,
+                       match=re.escape("Matrix: expected 2-dimensional data, "
+                                       "got shape (2,)")):
+        Matrix([1.0, 2.0])
+
+
 def test_vector_basics():
     v = Vector([3.0, 4.0])
     assert v.len == 2

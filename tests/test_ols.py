@@ -35,6 +35,16 @@ def test_mean_empty():
         mean_1d(Vector([]))
 
 
+def test_mean_is_exact_under_power_of_two_scaling():
+    """The mean of huge entries is the float it is, not an overflow, and
+    scaling x by 2^k scales the mean by exactly 2^k."""
+    assert mean_1d(Vector([1e308, 1e308])) == 1e308
+    x = np.random.default_rng(41).standard_normal(50)
+    zbar = mean_1d(Vector(x))
+    for k in (-1000, -500, 500, 1000):
+        assert mean_1d(Vector(np.ldexp(x, k))) == math.ldexp(zbar, k)
+
+
 def test_mean_minimizes_sum_of_squares():
     rng = np.random.default_rng(40)
     x = rng.standard_normal(100)
@@ -137,6 +147,18 @@ def test_solve_ols_methods_agree():
         np.testing.assert_allclose(other.coefficients.array,
                                    sols[0].coefficients.array, rtol=1e-8)
         assert not other.rank_deficient
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_solve_ols_methods_agree_on_zero_columns(m):
+    """An m x 0 A fits nothing: every method returns empty coefficients,
+    the residual norm ||y|| and full (zero) column rank."""
+    y = Vector(np.arange(1.0, m + 1.0))
+    for method in (Method.NORMAL_EQUATIONS, Method.QR, Method.SVD):
+        sol = solve_ols(Matrix(np.zeros((m, 0))), y, method)
+        assert sol.coefficients.len == 0
+        assert sol.residual_norm == math.sqrt(float(y.array @ y.array))
+        assert sol.rank_deficient is False
 
 
 def test_solve_ols_rank_deficient_raises_for_direct_methods():

@@ -309,9 +309,9 @@ def test_tls_fits_ask_for_u_only_on_the_v22_block(monkeypatch):
     calls = []
     thin_svd = system._thin_svd
 
-    def recording(a, with_u=True, exponent=None):
+    def recording(a, with_u=True):
         calls.append((a.shape, with_u))
-        return thin_svd(a, with_u, exponent)
+        return thin_svd(a, with_u)
 
     monkeypatch.setattr(system, "_thin_svd", recording)
     for m, n, p in [(40, 3, 1), (1200, 8, 1), (300, 40, 2), (30, 4, 3)]:

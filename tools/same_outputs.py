@@ -1,0 +1,129 @@
+"""Print every output of tlsfit on the benchmark corpora, one line a problem.
+
+A refactor that claims "same behaviour" runs this at the parent commit and
+at the change and compares the two files byte for byte:
+
+    python tools/same_outputs.py > change.txt   # in each checkout
+    cmp parent.txt change.txt
+
+(A checkout that predates this file gets a copy of it in its ``tools/``.)
+The script imports ``tlsfit`` from ``src/``, and the problem generators
+(``perfbench/corpus.py``) and the benchmark's solver calls
+(``perfbench/worker.py``) of the checkout it sits in; it writes nothing
+there.
+
+Each public solver runs on the library corpora lib_small, lib_tall and
+lib_wide, seeds 1-3.  A line holds every field of the result, or the
+error's type, message and attributes (``null_vector`` and ``sigma`` of
+a NoTlsSolutionError), plus any warning: floats as ``float.hex``, arrays
+as shape, dtype, memory order and the hex of their bytes.  ``cli.main``
+runs in process on the CLI corpus, seeds 1-5, with ``--format json`` and
+``--format text``; a line holds its exit code, stdout and stderr.
+"""
+from __future__ import annotations
+
+import contextlib
+import enum
+import io
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+LIB_WORKLOADS = ("lib_small", "lib_tall", "lib_wide")
+LIB_SEEDS = (1, 2, 3)
+CLI_SEEDS = (1, 2, 3, 4, 5)
+
+
+def encode(value) -> str:
+    """An exact text form of a result, an error or one of their fields."""
+    if value is None or isinstance(value, (bool, int, str, enum.Enum)):
+        return repr(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        order = "".join(flag for flag, on in (
+            ("C", value.flags.c_contiguous), ("F", value.flags.f_contiguous))
+            if on)
+        return (f"ndarray({value.shape}, {value.dtype}, {order or '-'}, "
+                f"{value.tobytes().hex()})")
+    if isinstance(value, BaseException):
+        attrs = "".join(f", {key}={encode(val)}"
+                        for key, val in sorted(vars(value).items()))
+        return f"{type(value).__name__}({str(value)!r}{attrs})"
+    if isinstance(value, tuple):
+        fields = getattr(value, "_fields", None)
+        return f"{type(value).__name__}(" + ", ".join(
+            encode(item) if fields is None else f"{name}={encode(item)}"
+            for name, item in zip(fields or value, value)) + ")"
+    if hasattr(value, "array"):  # Matrix, Vector
+        return f"{type(value).__name__}({encode(value.array)})"
+    raise TypeError(f"no exact form for {type(value).__name__}")
+
+
+def _recorded(call):
+    """encode(call()), or of the exception it raised, then its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = encode(call())
+        except Exception as exc:  # every error type is an output here
+            out = "raised " + encode(exc)
+    return out + "".join(f" warning {w.category.__name__}({str(w.message)!r})"
+                         for w in caught)
+
+
+def _cli_run(cli, argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    # Without bytecode, importing leaves no __pycache__ under perfbench/.
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import corpus
+    import tlsfit as tl
+    from tlsfit import cli
+    from worker import lib_call
+
+    write = sys.stdout.write
+    for workload in LIB_WORKLOADS:
+        for seed in LIB_SEEDS:
+            for i, problem in enumerate(corpus.lib_corpus(workload, seed)):
+                write(f"{workload} seed={seed} #{i} {problem['kind']} "
+                      f"{problem['shape']} "
+                      f"{_recorded(lambda: lib_call(tl, problem))}\n")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # A relative input path keeps messages that name it the same in
+        # every run.
+        os.chdir(tmp)
+        try:
+            for seed in CLI_SEEDS:
+                for i, problem in enumerate(corpus.cli_corpus(seed)):
+                    Path("input.csv").write_bytes(
+                        problem["csv"].encode("utf-8"))
+                    for fmt in ("json", "text"):
+                        argv = problem["argv"] + ["--input", "input.csv",
+                                                  "--format", fmt]
+                        result = _recorded(lambda: _cli_run(cli, argv))
+                        write(f"cli seed={seed} #{i} {' '.join(argv)} "
+                              f"{result}\n")
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
