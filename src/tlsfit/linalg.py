@@ -18,6 +18,8 @@ they are.  The sweeps rotate a round of disjoint pairs at once from
 _ROUND_MIN_COLS columns on, taking the rotations of a round with few
 pairs on floats, and sweep two or three columns one pair at a time; all
 compute the rotation as t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
+Rounds of many pairs end on one Gram product instead of a confirming
+sweep, and revisit only the rounds in which a pair still fails.
 
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
@@ -297,7 +299,7 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
                 rest = rest[:, j + 1:]
                 left[stale] = np.einsum("ij,ij->i", rest, rest)
                 floor[stale] = _DOWNDATE_TOL * left[stale]
-    r = np.ldexp(r, exponent)
+    r = _ldexp_in_range(r, exponent, "R")
     return (r, yt.T, t, np.array(perm)) if pivot else (r, yt.T, t)
 
 
@@ -313,7 +315,8 @@ def _reflect(y: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def householder_qr(a: Matrix) -> QrResult:
-    """Full QR factorization of a tall (rows >= cols) matrix."""
+    """Full QR factorization of a tall (rows >= cols) matrix; RangeError
+    when an entry of R is beyond the float range."""
     if a.rows < a.cols:
         raise DimensionError(
             f"householder_qr: need rows >= cols, got {a.rows} x {a.cols}")
@@ -379,16 +382,28 @@ def _jacobi_sweeps(work: np.ndarray, m: int, on: str):
     path = "rounds" if work.shape[0] >= _ROUND_MIN_COLS else "pairs"
     if (_jacobi_rounds if path == "rounds" else _jacobi_pairs)(work, m):
         return
-    gram = work[:, :m] @ work[:, :m].T
-    live = gram.diagonal() > _FLUSH2
-    norms = np.sqrt(gram.diagonal()[live])
-    ratio = np.abs(gram[np.ix_(live, live)]) / np.outer(norms, norms)
-    np.fill_diagonal(ratio, 0.0)
+    ratio = _offdiag_ratios(work[:, :m]).max(initial=0.0)
     raise ConvergenceError(
         f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
         f"sweeps ({path} on {on}; largest off-diagonal ratio "
-        f"{ratio.max(initial=0.0):.3e} vs JACOBI_OFFDIAG_TOL "
+        f"{ratio:.3e} vs JACOBI_OFFDIAG_TOL "
         f"{JACOBI_OFFDIAG_TOL:g})")
+
+
+def _offdiag_ratios(w: np.ndarray) -> np.ndarray:
+    """|g_ij| / (sqrt(g_ii) sqrt(g_jj)) from one Gram product G = W W^T
+    of the rows of ``w``, for rows i != j whose squared norms are both
+    above _FLUSH2, and 0 elsewhere: a pair fails the orthogonality
+    criterion iff its ratio exceeds JACOBI_OFFDIAG_TOL."""
+    gram = w @ w.T
+    live = gram.diagonal() > _FLUSH2
+    norms = np.sqrt(gram.diagonal(), where=live, out=np.ones(len(live)))
+    ratio = np.abs(gram) / np.outer(norms, norms)
+    np.fill_diagonal(ratio, 0.0)
+    if not live.all():
+        ratio[~live] = 0.0
+        ratio[:, ~live] = 0.0
+    return ratio
 
 
 def _tangent(alpha: float, beta: float, gamma: float) -> float:
@@ -472,6 +487,24 @@ def _round_tables(n: int):
     return order, shift
 
 
+@functools.cache
+def _meeting_rounds(n: int) -> np.ndarray:
+    """meet[a, b]: the round of a round-robin sweep on n columns in which
+    the columns that rows a and b of ``work[order]`` hold in its first
+    round meet, built once per width from ``_round_tables`` and
+    read-only.  The diagonal is 0."""
+    _, shift = _round_tables(n)
+    bye = n % 2
+    meet = np.zeros((n, n), dtype=np.intp)
+    rows = np.arange(n)
+    for r in range(n - 1 + bye):
+        first, second = rows[bye::2], rows[bye + 1::2]
+        meet[first, second] = meet[second, first] = r
+        rows = rows[shift]
+    meet.flags.writeable = False
+    return meet
+
+
 def _float_rotations(gram: list, w_pairs: np.ndarray,
                      rot: np.ndarray) -> bool:
     """The rotations of one round into ``rot``, pair by pair on floats;
@@ -507,10 +540,11 @@ def _float_rotations(gram: list, w_pairs: np.ndarray,
     return rotated
 
 
-def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray) -> bool:
+def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray) -> int:
     """What ``_float_rotations`` does, for a round of many pairs: the
     Gram entries come from two ``np.vecdot`` calls and the criterion and
-    ``_tangent`` run on arrays."""
+    ``_tangent`` run on arrays.  Returns the number of pairs that
+    rotate."""
     squares = np.vecdot(w_pairs, w_pairs)
     gamma = np.vecdot(w_pairs[:, 0], w_pairs[:, 1])
     if np.minimum.reduce(squares, axis=None) <= _FLUSH2:
@@ -520,8 +554,9 @@ def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray) -> bool:
         gamma[flush.any(axis=1)] = 0.0
     norms = np.sqrt(squares)
     moves = np.abs(gamma) > JACOBI_OFFDIAG_TOL * (norms[:, 0] * norms[:, 1])
-    if not np.count_nonzero(moves):
-        return False
+    count = int(np.count_nonzero(moves))
+    if not count:
+        return 0
     d = squares[:, 1] - squares[:, 0]
     g2 = gamma + gamma
     den = d + np.copysign(np.hypot(d, g2), d)
@@ -533,14 +568,14 @@ def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray) -> bool:
     np.divide(g2, den, out=t, where=moves)
     np.negative(t, out=turn[:, 0, 1])
     np.divide(turn, np.hypot(1.0, t)[:, None, None], out=rot)
-    return True
+    return count
 
 
 def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     """Round-robin sweeps (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1),
     1985): n-1 rounds of n/2 disjoint pairs (n rounds of (n-1)/2 for odd
-    n), each round in a few numpy calls.  Returns whether a sweep within
-    the budget confirmed every pair.
+    n), each round in a few numpy calls.  Returns whether the sweeps
+    confirmed every pair within the budget.
 
     The rows of ``work`` are reordered such that rows 2k and 2k+1 are
     pair k of the round; one matrix product rotates them all.  Disjoint
@@ -551,6 +586,17 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     most _FLOAT_MAX_PAIRS pairs takes its Gram matrices in one
     ``np.vecdot`` call and its rotations from ``_float_rotations``, a
     larger one from ``_array_rotations``.  Needs n >= 3.
+
+    Rounds of few pairs stop after a sweep that rotates nothing.  Larger
+    ones do not spend a sweep on confirming that: after a sweep that left
+    some pair of live columns (squared norms above _FLUSH2) unrotated,
+    ``_offdiag_ratios`` tests every pair at once.  The sweeps stop when
+    no pair fails, with the other columns zeroed as a sweep zeroes them;
+    otherwise the next sweep evaluates only the rounds in which a failing
+    pair meets (``_meeting_rounds``), and the others only move their rows
+    on.  Such a pruned sweep counts toward the budget, and one that
+    rotates nothing stops the sweeps too: that ends a pair that the Gram
+    product flags at the rounding level and its own round does not.
     """
     n, width = work.shape
     seats = n + n % 2
@@ -568,13 +614,17 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     cur, nxt = buffers
     few = h <= _FLOAT_MAX_PAIRS
     rot = np.empty((h, 2, 2))
+    visit = [True] * (seats - 1)  # the rounds the next sweep evaluates
+    converged = False
     for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for _ in range(seats - 1):
+        rotated = 0
+        for r in range(seats - 1):
             rows, pairs, w_pairs, left, right = cur
-            if (_float_rotations(np.vecdot(left, right).tolist(), w_pairs, rot)
-                    if few else _array_rotations(w_pairs, rot)):
-                rotated = True
+            moved = visit[r] and (
+                _float_rotations(np.vecdot(left, right).tolist(), w_pairs, rot)
+                if few else _array_rotations(w_pairs, rot))
+            if moved:
+                rotated += moved
                 np.matmul(rot, pairs, out=nxt[1])
                 if bye:
                     nxt[0][0] = rows[0]
@@ -584,9 +634,28 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             cur[0].take(shift, 0, nxt[0], "clip")
             cur, nxt = nxt, cur
         if not rotated:
+            converged = True
             break
+        if few:
+            continue
+        # A pair with a column at or below _FLUSH2 never rotates, and it
+        # does not count as one that met the criterion.
+        w = cur[0][:, :m]
+        live = np.vecdot(w, w) > _FLUSH2
+        n_live = int(np.count_nonzero(live))
+        if rotated >= n_live * (n_live - 1) // 2:
+            continue
+        if n_live < n:
+            w[~live] = 0.0
+        fails = _offdiag_ratios(w) > JACOBI_OFFDIAG_TOL
+        if not fails.any():
+            converged = True
+            break
+        meets = np.zeros(seats - 1, dtype=bool)
+        meets[_meeting_rounds(n)[fails]] = True
+        visit = meets.tolist()
     work[order] = cur[0]
-    return not rotated
+    return converged
 
 
 def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Multiple right-hand sides and frozen-column TLS."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,28 @@ def test_fixed_minimized_value_matches_direct_evaluation():
         sol = solve_tls_fixed(Matrix(a1), Matrix(a2), Matrix(b))
         direct = fixed_objective(a1, a2, b, sol.x1.array, sol.x2.array)
         assert sol.minimized_value == pytest.approx(direct, rel=1e-9)
+
+
+def test_fixed_is_exact_under_power_of_two_scaling():
+    """The frozen-column fit runs on (A1 | A2 | B) divided by one exact
+    power of two.  Scaling small integers by 2^k, which keeps them exact
+    (k = +-500, and k = -1060, where every entry is subnormal), leaves X1
+    and X2 bit for bit and scales the minimized value by exactly 2^(2k).
+    A fit with every entry near 1e-310 gives finite values, where 1 / sigma
+    of A1 at its own scale would overflow."""
+    rng = np.random.default_rng(80)
+    blocks = [rng.integers(-8, 9, (8, cols)).astype(float)
+              for cols in (2, 2, 1)]
+    base = solve_tls_fixed(*(Matrix(x) for x in blocks))
+    for k in (500, -500, -1060):
+        sol = solve_tls_fixed(*(Matrix(np.ldexp(x, k)) for x in blocks))
+        assert np.array_equal(sol.x1.array, base.x1.array)
+        assert np.array_equal(sol.x2.array, base.x2.array)
+        assert sol.minimized_value == np.ldexp(base.minimized_value, 2 * k)
+    tiny = solve_tls_fixed(*(Matrix(rng.standard_normal((8, 1)) * 1e-310)
+                             for _ in range(3)))
+    assert np.isfinite(tiny.x1.array).all() and np.isfinite(tiny.x2.array).all()
+    assert math.isfinite(tiny.minimized_value)
 
 
 def test_fixed_never_below_fully_free_tls():

@@ -14,6 +14,7 @@ from tlsfit import (
     Matrix,
     Method,
     NoTlsSolutionError,
+    RangeError,
     Vector,
     augment,
     householder_qr,
@@ -154,6 +155,17 @@ def test_qr_random_invariants():
 def test_qr_rejects_wide():
     with pytest.raises(DimensionError):
         householder_qr(Matrix([[1.0, 2.0, 3.0]]))
+
+
+def test_qr_beyond_the_float_range_raises_range_error():
+    """Columns with norms near 2.9e308 give an R beyond the float range:
+    a RangeError, as jacobi_svd raises on the same matrix, and no
+    overflow."""
+    a = Matrix([[1.7e308, -1.7e308], [1.7e308, 1.7e308], [-1.7e308, 1e308]])
+    with pytest.raises(RangeError, match="^R beyond the float range"):
+        householder_qr(a)
+    with pytest.raises(RangeError):
+        jacobi_svd(a)
 
 
 @pytest.mark.parametrize("shape", [(300, 7), (1000, 3), (640, 20)])
@@ -438,6 +450,32 @@ def test_round_tables_are_cached_read_only():
         assert np.array_equal(shift, kept[1])
 
 
+def test_meeting_rounds_follow_the_round_tables():
+    """For every width 4-64, stepping ``order`` through ``shift`` seats
+    every pair of columns together in exactly one round of a sweep and
+    ends back in the first order; ``_meeting_rounds`` names that round
+    for the two rows of ``work[order]`` that hold the pair.  The table is
+    built once per width and cannot be written."""
+    for n in range(4, 65):
+        order, shift = linalg._round_tables(n)
+        meet = linalg._meeting_rounds(n)
+        assert linalg._meeting_rounds(n) is meet
+        assert not meet.flags.writeable
+        bye = n % 2
+        row_of = np.argsort(order)  # the row of work[order] with column c
+        met = set()
+        cols = order
+        for r in range(n - 1 + bye):
+            for c, d in zip(cols[bye::2].tolist(), cols[bye + 1::2].tolist()):
+                assert (c, d) not in met and (d, c) not in met
+                met.add((c, d))
+                assert meet[row_of[c], row_of[d]] == r
+                assert meet[row_of[d], row_of[c]] == r
+            cols = cols[shift]
+        assert len(met) == n * (n - 1) // 2
+        assert np.array_equal(cols, order)
+
+
 def test_tangent_matches_the_zeta_form():
     """The rotation's t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)) agrees
     to 4 ulps with Rutishauser's sign(zeta) / (|zeta| + sqrt(1 + zeta^2)),
@@ -492,9 +530,11 @@ def _graded_shapes(rng):
 
 # Known-answer shapes: the per-pair loop (n = 3), rounds on A with few
 # pairs (n = 4-6, 12), rounds on R^T with few pairs (n = 8, 16, 28, 29)
-# and with many (n = 40).
+# and with many (n = 40, and 250 x 60, the widest shape of the lib_wide
+# benchmark workload, where the sweeps stop on the Gram test).
 KNOWN_SIGMA_SHAPES = [(1500, 3), (800, 4), (600, 5), (400, 6), (1200, 8),
-                      (200, 12), (1000, 16), (300, 28), (300, 29), (300, 40)]
+                      (200, 12), (1000, 16), (300, 28), (300, 29), (300, 40),
+                      (250, 60)]
 
 
 @pytest.mark.parametrize("grading", ["columns", "rows"])
@@ -538,9 +578,9 @@ def test_preconditioned_sweeps_on_steeply_row_graded_input():
                                    rtol=1e-13, atol=0)
 
 
-# Widths 6-13 and 16, both sides of the column cutoff of the rounds, and
-# both sides of the largest round whose rotations are taken on floats.
-@pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16,
+# Widths 6-13 and 16, both sides of the column cutoff of the rounds, both
+# sides of the largest round whose rotations are taken on floats, and 60.
+@pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16, 60,
                                       _ROUND_MIN_COLS - 1, _ROUND_MIN_COLS,
                                       _ROUND_MIN_COLS + 1,
                                       2 * _FLOAT_MAX_PAIRS,
@@ -552,7 +592,8 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
     leave every column pair within JACOBI_OFFDIAG_TOL, accumulate their
     rotations in V, and agree on sigma to 1e-14 relative.  The widths
     around 2 _FLOAT_MAX_PAIRS take the rounds' rotations on floats
-    (up to _FLOAT_MAX_PAIRS pairs a round) and on arrays (one more).
+    (up to _FLOAT_MAX_PAIRS pairs a round) and on arrays (one more); at
+    width 60 the sweeps on arrays stop on the Gram test and prune.
 
     A pair's inner product is known only up to the rounding bound of a
     computed dot product, m u sum_k |w_ki w_kj|; the check allows that
@@ -605,27 +646,55 @@ def test_float_and_array_rotations_agree(n):
     assert np.all(np.abs(arrays - floats) <= 4 * np.spacing(np.abs(floats)))
 
 
-SWEEP_PATHS = {(60, 30): "rounds on A", (20, 4): "rounds on A",
-               (1000, 10): "rounds on R^T", (200, 40): "rounds on R^T",
-               (20, 3): "pairs on A"}
+def _three_coupled_columns(shape):
+    """Columns 0-2 Gaussian on the first 10 rows, and every other column a
+    single entry in a row of its own: only the pairs among the first three
+    columns ever fail the criterion."""
+    n = shape[1]
+    rng = np.random.default_rng(71)
+    a = np.zeros(shape)
+    a[:10, :3] = rng.standard_normal((10, 3))
+    a[np.arange(10, n + 7), np.arange(3, n)] = rng.uniform(0.5, 5.0, n - 3)
+    return a
+
+
+# Shape: the sweep path named in the error, the sweep budget, the input.
+SWEEP_PATHS = {
+    (60, 30): ("rounds on A", 1, None), (20, 4): ("rounds on A", 1, None),
+    (1000, 10): ("rounds on R^T", 1, None),
+    (200, 40): ("rounds on R^T", 1, None), (20, 3): ("pairs on A", 1, None),
+    (100, 40): ("rounds on A", 2, _three_coupled_columns)}
 
 
 @pytest.mark.parametrize("shape", list(SWEEP_PATHS))
 def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     """One sweep cannot confirm a Gaussian matrix, on any path: 60 x 30
     and 20 x 4 sweep A in rounds, 1000 x 10 and 200 x 40 sweep R^T in
-    rounds, and 20 x 3 sweeps A pair by pair.  The error names the path
-    and the largest off-diagonal ratio left, next to the tolerance."""
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-    a = np.random.default_rng(70).standard_normal(shape)
+    rounds, and 20 x 3 sweeps A pair by pair.  On 100 x 40 with three
+    coupled columns the budget of two sweeps runs out in a pruned one: the
+    Gram test after the first sweep leaves the second only the rounds in
+    which those columns meet.  The error names the path and the largest
+    off-diagonal ratio left, next to the tolerance."""
+    path, budget, make = SWEEP_PATHS[shape]
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", budget)
+    rounds = []  # one entry per round evaluated on arrays
+
+    def counted(w_pairs, rot):
+        rounds.append(None)
+        return _array_rotations(w_pairs, rot)
+
+    monkeypatch.setattr(linalg, "_array_rotations", counted)
+    a = (make or np.random.default_rng(70).standard_normal)(shape)
     with pytest.raises(ConvergenceError) as info:
         jacobi_svd(Matrix(a))
     found = re.fullmatch(
-        r"one-sided Jacobi SVD did not converge in 1 sweeps \((.+); largest "
-        r"off-diagonal ratio (\S+) vs JACOBI_OFFDIAG_TOL 1e-15\)",
+        r"one-sided Jacobi SVD did not converge in (\d+) sweeps \((.+); "
+        r"largest off-diagonal ratio (\S+) vs JACOBI_OFFDIAG_TOL 1e-15\)",
         str(info.value))
-    assert found and found[1] == SWEEP_PATHS[shape]
-    assert JACOBI_OFFDIAG_TOL < float(found[2]) < 1.0
+    assert found and int(found[1]) == budget and found[2] == path
+    assert JACOBI_OFFDIAG_TOL < float(found[3]) < 1.0
+    if budget > 1:  # a full sweep of n - 1 rounds, then a pruned one
+        assert shape[1] - 1 < len(rounds) < 2 * (shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
