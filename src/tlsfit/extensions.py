@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (Matrix, Vector, _binary_exponent, _ldexp_in_range, _pinv,
-                     _rank, _sum_of_squares, _thin_svd, _truncate)
+from .linalg import (Matrix, Vector, _binary_exponent, _pinv, _rank,
+                     _sum_of_squares, _thin_svd, _truncate)
 from .system import _split_or_raise
 
 __all__ = [
@@ -114,14 +114,12 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     basis = u1[:, :r]
     # Projecting [A2 B] off U1 leaves the Gram matrix, hence sigma and V,
     # of its block in the orthogonal complement of A1's column space.
-    s, _, x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k)
+    s, _, x2, _ = _split_or_raise(a2b - basis @ (basis.T @ a2b), k, e)
     # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
     x1 = _pinv(u1, s1, v1, a2b[:, k:] - a2b[:, :k] @ x2)
     return FixedColsSolution(
         x1=Matrix(x1),
         x2=Matrix(x2),
-        minimized_value=float(_ldexp_in_range(
-            _sum_of_squares(s[k:], "minimized value"), 2 * e,
-            "minimized value")),
+        minimized_value=_sum_of_squares(s[k:], "minimized value"),
         x1_unique=bool(r == j),
     )

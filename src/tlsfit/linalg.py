@@ -299,7 +299,9 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
                 rest = rest[:, j + 1:]
                 left[stale] = np.einsum("ij,ij->i", rest, rest)
                 floor[stale] = _DOWNDATE_TOL * left[stale]
-    r = _ldexp_in_range(r, exponent, "R")
+    # Only an R scaled down on the way in can come back beyond the range.
+    r = (_ldexp_in_range(r, exponent, "R") if exponent > 0
+         else np.ldexp(r, exponent))
     return (r, yt.T, t, np.array(perm)) if pivot else (r, yt.T, t)
 
 

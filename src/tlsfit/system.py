@@ -72,10 +72,11 @@ def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
     return s, v, x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
 
 
-def _split_or_raise(c: np.ndarray, n: int):
+def _split_or_raise(c: np.ndarray, n: int, exponent: int = 0):
     """``_tls_split`` of C after column n as (s, v, x, unique), raising
-    NoTlsSolutionError, with s22 and its threshold, when X does not exist."""
-    s, v, x, null_vector, s22, unique = _tls_split(c, n)
+    NoTlsSolutionError, with s22 and its threshold, when X does not exist;
+    ``c`` and ``exponent`` as for ``_tls_split``."""
+    s, v, x, null_vector, s22, unique = _tls_split(c, n, exponent)
     if x is None:
         raise NoTlsSolutionError(
             "no TLS solution: the trailing block of the right singular "

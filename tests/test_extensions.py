@@ -256,10 +256,14 @@ def test_fixed_rank_deficient_frozen_block():
 
 
 def test_fixed_propagates_missing_tls_solution():
-    with pytest.raises(NoTlsSolutionError):
-        solve_tls_fixed(Matrix(np.zeros((3, 0))),
-                        Matrix([[1, 0], [0, 0], [0, 0]]),
-                        Matrix([[1.0], [1.0], [1.0]]))
+    """The error carries sigma at the scale of the data, as the plain
+    multi-RHS fit of A2 and B reports it."""
+    a2, b = Matrix([[1, 0], [0, 0], [0, 0]]), Matrix([[1.0], [1.0], [1.0]])
+    with pytest.raises(NoTlsSolutionError) as fixed:
+        solve_tls_fixed(Matrix(np.zeros((3, 0))), a2, b)
+    with pytest.raises(NoTlsSolutionError) as multi:
+        solve_tls_multi(a2, b)
+    assert np.array_equal(fixed.value.sigma.array, multi.value.sigma.array)
 
 
 def test_fixed_dimension_checks():
