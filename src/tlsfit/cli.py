@@ -90,7 +90,8 @@ def parse_csv(path: str) -> Matrix:
     non-finite cell (inf, nan) is a FormatError on any line, the first
     included.  Blank lines are ignored.  The file is UTF-8, with or
     without a leading byte order mark; a byte that is not UTF-8 is a
-    FormatError naming its line.
+    FormatError naming its line.  Lines are those of the file: an error in
+    a record with a quoted cell that spans lines names its first line.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -103,11 +104,13 @@ def parse_csv(path: str) -> Matrix:
                           f"{lineno}", line=lineno) from None
     # Lines end at \n, \r or \r\n only, as in a file opened with
     # newline=""; str.splitlines would also split at \x1c, \x85 and more.
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = csv.reader(io.StringIO(text, newline=""))
     width = None
     values = []
     header_allowed = True
-    for lineno, record in enumerate(rows, start=1):
+    next_line = 1
+    for record in rows:
+        lineno, next_line = next_line, rows.line_num + 1
         if not record or all(cell.strip() == "" for cell in record):
             continue
         try:

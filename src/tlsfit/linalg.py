@@ -9,9 +9,11 @@ power-of-two scaling that keeps squares and results in the float range.
 There is one QR: ``_householder_qr_arrays`` keeps its reflectors in
 compact WY form Q = I - Y T Y^T, so applying Q or Q^T to a block is three
 matrix products, and pivots on the largest remaining column norm when
-asked.  The SVD of an input with at least _QR_MIN_COLS columns and
-_QR_MIN_SIZE entries sorts its rows, factors A P = Q R with pivoting and
-sweeps only the n x n R^T (Drmac & Veselic); V comes from the swept
+asked.  It takes its input at scale (divided by an exact power of two,
+or orthonormal) and returns R at that scale; ``householder_qr`` scales A
+down and R back.  The SVD of an input with at least _QR_MIN_COLS columns
+and _QR_MIN_SIZE entries sorts its rows, factors A P = Q R with pivoting
+and sweeps only the n x n R^T (Drmac & Veselic); V comes from the swept
 columns, and U = Q [J; 0], J the accumulated rotations, only for callers
 that read U, which no TLS split of C does.  Smaller inputs are swept as
 they are.  The sweeps rotate a round of disjoint pairs at once from
@@ -151,12 +153,13 @@ def _binary_exponent(a) -> int:
 
 def _ldexp_in_range(a, exponent: int, what: str):
     """a * 2^exponent, or RangeError naming ``what`` when that is beyond
-    the float range."""
-    largest = abs(a) if isinstance(a, float) else float(
-        np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
-    if largest and math.frexp(largest)[1] + exponent > 1024:
-        raise RangeError(f"{what} beyond the float range: {largest:.6g} * "
-                         f"2^{exponent} >= 2^1024")
+    the float range; only a scale-up (exponent > 0) reads ``a`` for it."""
+    if exponent > 0:
+        largest = abs(a) if isinstance(a, float) else float(
+            np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
+        if largest and math.frexp(largest)[1] + exponent > 1024:
+            raise RangeError(f"{what} beyond the float range: {largest:.6g} "
+                             f"* 2^{exponent} >= 2^1024")
     return np.ldexp(a, exponent)
 
 
@@ -212,9 +215,8 @@ _FLUSH2 = 1e-200
 _DOWNDATE_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
-                           exponent: int | None = None):
-    """QR of an m x n array (m >= n) by Householder reflections.
+def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
+    """QR of an m x n array (m >= n) at scale by Householder reflections.
 
     Returns (r, y, t): r is the n x n upper-triangular factor, and the
     reflectors are kept in compact WY form Q = I - Y T Y^T with
@@ -224,10 +226,9 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
     products.  Column j meets the first j reflectors as one such product
     (left-looking), then yields reflector j, v = x + sign(x_1) |x| e_1,
     which makes R_jj = -sign(x_1) |x|; ``householder_qr`` turns the
-    diagonal nonnegative.  The work runs on A scaled by an exact power of
-    two, so R scales exactly with A and Y and T do not depend on its scale;
-    a caller that has already taken ``_binary_exponent(a)`` passes it as
-    ``exponent``.
+    diagonal nonnegative.  ``a`` comes at scale: divided by
+    2^_binary_exponent(a), or orthonormal columns, so that squared norms
+    stay in the float range; R is at that scale.
 
     With ``pivot`` the next column is always the one of largest remaining
     norm (Businger & Golub, Numer. Math. 7, 1965), A P = Q R, and a fourth
@@ -238,8 +239,6 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
     35(2), 2008, as LAPACK xGEQP3 does).
     """
     m, n = a.shape
-    if exponent is None:
-        exponent = _binary_exponent(a)
     yt = np.zeros((n, m))  # row j is reflector j, zero before entry j
     t = np.zeros((n, n))
     r = np.zeros((n, n), order="F")
@@ -250,15 +249,12 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
         work = np.zeros((n, m + n + 2))
         cols, f = work[:, :m], work[:, m:m + n]
         left, floor = work[:, m + n], work[:, m + n + 1]
-        np.ldexp(a.T, -exponent, out=cols)
+        cols[:] = a.T
         left[:] = np.einsum("ij,ij->i", cols, cols)
         np.multiply(left, _DOWNDATE_TOL, out=floor)
         perm = list(range(n))
     else:
-        # Column j of A is row j.  The loop below only reads it, so an A
-        # already at scale (exponent 0) is used without a copy.
-        cols = (np.ldexp(a.T, -exponent, order="C") if exponent
-                else np.ascontiguousarray(a.T))
+        cols = np.ascontiguousarray(a.T)  # column j of A is row j
     for j in range(n):
         if pivot:
             p = j + int(left[j:].argmax())
@@ -299,9 +295,6 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False,
                 rest = rest[:, j + 1:]
                 left[stale] = np.einsum("ij,ij->i", rest, rest)
                 floor[stale] = _DOWNDATE_TOL * left[stale]
-    # Only an R scaled down on the way in can come back beyond the range.
-    r = (_ldexp_in_range(r, exponent, "R") if exponent > 0
-         else np.ldexp(r, exponent))
     return (r, yt.T, t, np.array(perm)) if pivot else (r, yt.T, t)
 
 
@@ -323,7 +316,9 @@ def householder_qr(a: Matrix) -> QrResult:
         raise DimensionError(
             f"householder_qr: need rows >= cols, got {a.rows} x {a.cols}")
     m, n = a.shape
-    r, y, t = _householder_qr_arrays(a.array)
+    exponent = _binary_exponent(a.array)
+    r, y, t = _householder_qr_arrays(np.ldexp(a.array, -exponent))
+    r = _ldexp_in_range(r, exponent, "R")
     q = _reflect(y, t, np.eye(m))
     # Sign convention: nonnegative diagonal of R.
     flip = np.flatnonzero(r.diagonal() < 0.0)
@@ -388,7 +383,7 @@ def _jacobi_sweeps(work: np.ndarray, m: int, on: str):
     raise ConvergenceError(
         f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
         f"sweeps ({path} on {on}; largest off-diagonal ratio "
-        f"{ratio:.3e} vs JACOBI_OFFDIAG_TOL "
+        f"{ratio:.17g} vs JACOBI_OFFDIAG_TOL "
         f"{JACOBI_OFFDIAG_TOL:g})")
 
 
@@ -716,7 +711,7 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
         exponent = math.frexp(float(np.maximum.reduce(row_max)))[1]
         work = a[rows]  # scaled in place, and freed once R replaces it
         r, y, t, perm = _householder_qr_arrays(
-            np.ldexp(work, -exponent, out=work), pivot=True, exponent=0)
+            np.ldexp(work, -exponent, out=work), pivot=True)
         # Row k: column k of X = R^T (row k of R), then column k of J.
         work = np.zeros((n, 2 * n)) if with_u else np.empty((n, n))
         work[:, :n] = r

@@ -186,7 +186,7 @@ def _scaled_solution(a_s: np.ndarray, ea: int, ys: np.ndarray,
     if method is Method.NORMAL_EQUATIONS:
         return _normal_equations(a_s, ys), False, None
     if method is Method.QR:
-        r, q_y, q_t = _householder_qr_arrays(a_s, exponent=0)
+        r, q_y, q_t = _householder_qr_arrays(a_s)
         diag = np.abs(r.diagonal())
         if a_s.shape[1] and (np.minimum.reduce(diag)
                              <= RANK_REL_TOL * np.maximum.reduce(diag)):

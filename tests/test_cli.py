@@ -21,6 +21,7 @@ from tlsfit.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_TLS_SOLUTION,
     EXIT_OK,
+    FitReport,
     FitRequest,
     main,
     parse_csv,
@@ -78,6 +79,21 @@ def test_parse_non_numeric_cell(tmp_path):
         parse_csv(write(tmp_path, "c.csv", "1,2\n3,oops\n"))
     assert info.value.line == 2
     assert info.value.col == 2
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ('a,b\n"1\n",2\nx,3\n', 4, 1, "non-numeric cell at line 4, column 1"),
+    ('1,"2\r\n\r\n"\r\n3,4,5\r\n', 4, None,
+     "ragged row at line 4: 3 cells, expected 2"),
+], ids=["cell-after-header", "ragged-after-data"])
+def test_parse_errors_name_lines_after_a_multiline_cell(tmp_path, text, line,
+                                                        col, message):
+    """A quoted cell that spans lines does not shift later errors: each
+    names the line of the file on which its record starts."""
+    with pytest.raises(FormatError) as info:
+        parse_csv(write(tmp_path, "multiline.csv", text))
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == message
 
 
 def test_parse_rejects_non_finite(tmp_path):
@@ -333,6 +349,25 @@ def test_run_input_errors(tmp_path):
                                   rhs_cols=1, input_path=three))
     assert code == EXIT_INPUT_ERROR
     assert report.error["kind"] == "dimension_error"
+
+    one = write(tmp_path, "one.csv", "1\n2\n3\n")
+    for request, kind, detail in [
+        (FitRequest("ols", one), "dimension_error",
+         "ols: need at least 2 columns (x..., y)"),
+        (FitRequest("tls-system", three, rhs_cols=2), "dimension_error",
+         "tls-system: exactly one right-hand-side column"),
+        (FitRequest("tls-system", one), "dimension_error",
+         "tls-system: need at least 2 columns"),
+        (FitRequest("tls-multi", three, rhs_cols=0), "dimension_error",
+         "tls-multi: rhs-cols must be in [1, 2], got 0"),
+        (FitRequest("tls-multi", three, rhs_cols=3), "dimension_error",
+         "tls-multi: rhs-cols must be in [1, 2], got 3"),
+        (FitRequest("bogus", three), "usage_error", "unknown mode 'bogus'"),
+    ]:
+        report, code = run(request)
+        assert code == EXIT_INPUT_ERROR
+        assert report == FitReport(mode=request.mode, error={
+            "kind": kind, "detail": detail, "null_vector": None})
 
 
 def test_memory_error_is_a_typed_report(tmp_path, monkeypatch, capsys):

@@ -663,7 +663,8 @@ SWEEP_PATHS = {
     (60, 30): ("rounds on A", 1, None), (20, 4): ("rounds on A", 1, None),
     (1000, 10): ("rounds on R^T", 1, None),
     (200, 40): ("rounds on R^T", 1, None), (20, 3): ("pairs on A", 1, None),
-    (100, 40): ("rounds on A", 2, _three_coupled_columns)}
+    (100, 40): ("rounds on A", 2, _three_coupled_columns),
+    (250, 60): ("rounds on R^T", 9, None)}
 
 
 @pytest.mark.parametrize("shape", list(SWEEP_PATHS))
@@ -673,8 +674,10 @@ def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     rounds, and 20 x 3 sweeps A pair by pair.  On 100 x 40 with three
     coupled columns the budget of two sweeps runs out in a pruned one: the
     Gram test after the first sweep leaves the second only the rounds in
-    which those columns meet.  The error names the path and the largest
-    off-diagonal ratio left, next to the tolerance."""
+    which those columns meet.  On 250 x 60 nine sweeps stop just above the
+    rounding floor: the ratio must print above the tolerance too.  The
+    error names the path and the largest off-diagonal ratio left, next to
+    the tolerance."""
     path, budget, make = SWEEP_PATHS[shape]
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", budget)
     rounds = []  # one entry per round evaluated on arrays
@@ -693,7 +696,7 @@ def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
         str(info.value))
     assert found and int(found[1]) == budget and found[2] == path
     assert JACOBI_OFFDIAG_TOL < float(found[3]) < 1.0
-    if budget > 1:  # a full sweep of n - 1 rounds, then a pruned one
+    if make:  # a full sweep of n - 1 rounds, then a pruned one
         assert shape[1] - 1 < len(rounds) < 2 * (shape[1] - 1)
 
 

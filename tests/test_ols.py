@@ -295,3 +295,11 @@ def test_solve_ols_input_validation():
         solve_ols(Matrix(np.eye(2)), Vector([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         solve_ols(Matrix(np.eye(2)), Vector([1.0, 2.0]), Method.CLOSED_FORM)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        solve_ols(Matrix(np.eye(2)), Vector([1.0, 2.0]), "bogus")
+    with pytest.raises(RankDeficiencyError,
+                       match="^normal equations: zero Gram matrix$"):
+        solve_ols(Matrix(np.zeros((3, 2))), Vector(np.ones(3)),
+                  Method.NORMAL_EQUATIONS)
+    with pytest.raises(DimensionError, match="need at least 2 points"):
+        simple_regression(Vector([1.0]), Vector([2.0]))
