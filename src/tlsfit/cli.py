@@ -90,8 +90,10 @@ def parse_csv(path: str) -> Matrix:
     non-finite cell (inf, nan) is a FormatError on any line, the first
     included.  Blank lines are ignored.  The file is UTF-8, with or
     without a leading byte order mark; a byte that is not UTF-8 is a
-    FormatError naming its line.  Lines are those of the file: an error in
-    a record with a quoted cell that spans lines names its first line.
+    FormatError naming its line, and so is a record the csv module cannot
+    read, such as one with a cell over ``csv.field_size_limit()``.  Lines
+    are those of the file: an error in a record with a quoted cell that
+    spans lines names its first line.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -109,31 +111,35 @@ def parse_csv(path: str) -> Matrix:
     values = []
     header_allowed = True
     next_line = 1
-    for record in rows:
-        lineno, next_line = next_line, rows.line_num + 1
-        if not record or all(cell.strip() == "" for cell in record):
-            continue
-        try:
-            parsed = [float(cell.strip()) for cell in record]
-        except ValueError:
-            if header_allowed:
-                header_allowed = False
+    try:
+        for record in rows:
+            lineno, next_line = next_line, rows.line_num + 1
+            if not record or all(cell.strip() == "" for cell in record):
                 continue
-            parsed = None
-        header_allowed = False
-        if parsed is None or not all(map(math.isfinite, parsed)):
-            bad_col = next(col for col, cell in enumerate(record, start=1)
-                           if not _finite_number(cell))
-            raise FormatError(
-                f"non-numeric cell at line {lineno}, column {bad_col}",
-                line=lineno, col=bad_col)
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
-            raise FormatError(
-                f"ragged row at line {lineno}: {len(parsed)} cells, "
-                f"expected {width}", line=lineno)
-        values.append(parsed)
+            try:
+                parsed = [float(cell.strip()) for cell in record]
+            except ValueError:
+                if header_allowed:
+                    header_allowed = False
+                    continue
+                parsed = None
+            header_allowed = False
+            if parsed is None or not all(map(math.isfinite, parsed)):
+                bad_col = next(col for col, cell in enumerate(record, start=1)
+                               if not _finite_number(cell))
+                raise FormatError(
+                    f"non-numeric cell at line {lineno}, column {bad_col}",
+                    line=lineno, col=bad_col)
+            if width is None:
+                width = len(parsed)
+            elif len(parsed) != width:
+                raise FormatError(
+                    f"ragged row at line {lineno}: {len(parsed)} cells, "
+                    f"expected {width}", line=lineno)
+            values.append(parsed)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise FormatError(f"unreadable record at line {next_line}: {exc}",
+                          line=next_line) from None
     if not values:
         raise EmptyDataError(f"{path}: no numeric data rows")
     return Matrix(values)

@@ -397,9 +397,8 @@ def _offdiag_ratios(w: np.ndarray) -> np.ndarray:
     norms = np.sqrt(gram.diagonal(), where=live, out=np.ones(len(live)))
     ratio = np.abs(gram) / np.outer(norms, norms)
     np.fill_diagonal(ratio, 0.0)
-    if not live.all():
-        ratio[~live] = 0.0
-        ratio[:, ~live] = 0.0
+    ratio[~live] = 0.0
+    ratio[:, ~live] = 0.0
     return ratio
 
 
@@ -455,51 +454,39 @@ def _jacobi_pairs(work: np.ndarray, m: int) -> bool:
 
 
 @functools.cache
-def _round_tables(n: int):
-    """(order, shift): the row tables of round-robin sweeps on n columns,
-    built once per width and read-only.
+def _round_robin(n: int):
+    """(order, shift, meet): the tables of round-robin sweeps on n columns,
+    computed once per width from ring positions and read-only.
 
-    Rows 2k and 2k+1 hold the seats k and s-1-k of a round-robin table of
-    s = n + n % 2 seats; odd n seats a virtual column in seat 0, whose row
-    is left out.  ``order[i]`` is the row of ``work`` that row i holds in
-    the first round of every sweep.  Row i of the next round is row
-    ``shift[i]`` of this one: seat 0 stays and the others move on by one,
-    so the pair rows (2k, 2k+1) of the next round hold different columns;
-    after s-1 shifts every column has met every other once and the rows
-    are back in their first order.
+    Rows 2k and 2k+1 of a round hold the positions k and M-k of s = n + n % 2
+    seats, M = s - 1 odd; position p holds column p - n % 2 in the first
+    round, so odd n seats a virtual column, whose row is left out, at 0.
+    ``order[i]`` is the row of ``work`` that row i holds in the first round
+    of every sweep.  Position 0 stays and positions 1..M move on by one a
+    round, so row i of the next round is row ``shift[i]`` of this one; after
+    M rounds every column has met every other once and the rows are back in
+    their first order.  Positions p, q >= 1 meet in the round r with
+    2r + p + q = 0 (mod M), and p meets 0 in the round -p (mod M):
+    ``meet[i, j]`` is that round for rows i and j of ``work[order]``, 0 on
+    the diagonal.
     """
-    seats, bye = n + n % 2, n % 2
-    h = seats // 2
-    order = np.array([c for k in range(h)
-                      for c in (k, seats - 1 - k)][bye:]) - bye
-    src = np.arange(seats).reshape(h, 2)
-    dst = np.empty_like(src)
-    dst[0, 0] = src[0, 0]
-    dst[1, 0] = src[0, 1]
-    dst[2:, 0] = src[1:h - 1, 0]
-    dst[:h - 1, 1] = src[1:, 1]
-    dst[h - 1, 1] = src[h - 1, 0]
-    shift = dst.reshape(-1)[bye:] - bye
-    order.flags.writeable = shift.flags.writeable = False
-    return order, shift
-
-
-@functools.cache
-def _meeting_rounds(n: int) -> np.ndarray:
-    """meet[a, b]: the round of a round-robin sweep on n columns in which
-    the columns that rows a and b of ``work[order]`` hold in its first
-    round meet, built once per width from ``_round_tables`` and
-    read-only.  The diagonal is 0."""
-    _, shift = _round_tables(n)
     bye = n % 2
-    meet = np.zeros((n, n), dtype=np.intp)
-    rows = np.arange(n)
-    for r in range(n - 1 + bye):
-        first, second = rows[bye::2], rows[bye + 1::2]
-        meet[first, second] = meet[second, first] = r
-        rows = rows[shift]
-    meet.flags.writeable = False
-    return meet
+    ring = n + bye - 1
+    pos = np.empty(ring + 1, dtype=np.intp)  # the position row i holds
+    pos[0::2] = np.arange((ring + 1) // 2)
+    pos[1::2] = ring - pos[0::2]
+    came_from = np.where(pos > 0, (pos - 2) % ring + 1, 0)
+    shift = np.argsort(pos)[came_from][bye:] - bye
+    p = pos[bye:, None]
+    q = p.T
+    # (ring + 1) // 2 is the inverse of 2 modulo the odd ring.
+    meet = np.where((p > 0) & (q > 0), -(p + q) * ((ring + 1) // 2),
+                    -(p + q)) % ring
+    np.fill_diagonal(meet, 0)
+    order = pos[bye:] - bye
+    for table in (order, shift, meet):
+        table.flags.writeable = False
+    return order, shift, meet
 
 
 def _float_rotations(gram: list, w_pairs: np.ndarray,
@@ -590,16 +577,16 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     ``_offdiag_ratios`` tests every pair at once.  The sweeps stop when
     no pair fails, with the other columns zeroed as a sweep zeroes them;
     otherwise the next sweep evaluates only the rounds in which a failing
-    pair meets (``_meeting_rounds``), and the others only move their rows
-    on.  Such a pruned sweep counts toward the budget, and one that
-    rotates nothing stops the sweeps too: that ends a pair that the Gram
-    product flags at the rounding level and its own round does not.
+    pair meets (``meet`` of ``_round_robin``), and the others only move
+    their rows on.  Such a pruned sweep counts toward the budget, and one
+    that rotates nothing stops the sweeps too: that ends a pair that the
+    Gram product flags at the rounding level and its own round does not.
     """
     n, width = work.shape
     seats = n + n % 2
     bye = n % 2
     h = seats // 2 - bye
-    order, shift = _round_tables(n)
+    order, shift, meet = _round_robin(n)
     # Two buffers, each with its views: all rows, the pairs, the pairs'
     # columns of W, and those set up to broadcast to 2 x 2 Gram matrices.
     buffers = []
@@ -642,28 +629,28 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
         n_live = int(np.count_nonzero(live))
         if rotated >= n_live * (n_live - 1) // 2:
             continue
-        if n_live < n:
-            w[~live] = 0.0
+        w[~live] = 0.0
         fails = _offdiag_ratios(w) > JACOBI_OFFDIAG_TOL
         if not fails.any():
             converged = True
             break
         meets = np.zeros(seats - 1, dtype=bool)
-        meets[_meeting_rounds(n)[fails]] = True
+        meets[meet[fails]] = True
         visit = meets.tolist()
     work[order] = cur[0]
     return converged
 
 
-def _complete_orthonormal(u_cols: np.ndarray, m: int) -> np.ndarray:
-    """Extend ``q`` orthonormal columns to an m x m orthogonal matrix.
+def _complete_orthonormal(u_cols: np.ndarray) -> np.ndarray:
+    """Extend the m x q orthonormal ``u_cols`` to an m x m orthogonal
+    matrix.
 
     The completion comes from the Householder Q of the given block, which
     reproduces the block itself (up to roundoff) in its leading columns;
     those are replaced by the exact input columns.
     """
     _, y, t = _householder_qr_arrays(u_cols)
-    full = _reflect(y, t, np.eye(m))
+    full = _reflect(y, t, np.eye(u_cols.shape[0]))
     full[:, :u_cols.shape[1]] = u_cols
     return full
 
@@ -736,7 +723,7 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
         v = work[order, :n].T
         live = int(np.count_nonzero(scaled))
         if live < n:  # zero columns of W leave zero columns of V
-            v = np.asfortranarray(_complete_orthonormal(v[:, :live], n))
+            v = np.asfortranarray(_complete_orthonormal(v[:, :live]))
         v[perm] = v.copy()
         u = work[order, n:].T if with_u else None  # J
     else:
@@ -762,7 +749,7 @@ def jacobi_svd(a: Matrix) -> SvdResult:
     tall = a.rows >= a.cols
     u, s, v = _thin_svd(a.array if tall else a.array.T)
     nonzero = int(np.count_nonzero(s))
-    full = _complete_orthonormal(u[:, :nonzero], u.shape[0])
+    full = _complete_orthonormal(u[:, :nonzero])
     if tall:
         return SvdResult(u=Matrix(full), sigma=Vector(s), v=Matrix(v))
     # A^T = U' S V'^T: V is the completed U', its completion signed too.

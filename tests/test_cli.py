@@ -1,4 +1,5 @@
 """CSV parsing, mode dispatch, exit codes and deterministic reports."""
+import csv
 import json
 import math
 import subprocess
@@ -6,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tlsfit import (
     EmptyDataError,
@@ -21,6 +24,7 @@ from tlsfit.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_TLS_SOLUTION,
     EXIT_OK,
+    MODES,
     FitReport,
     FitRequest,
     main,
@@ -172,6 +176,22 @@ def test_parse_non_utf8_byte_is_a_format_error(tmp_path, capsys, data, line,
     assert json.loads(captured.out)["error"]["kind"] == "format_error"
     assert captured.err == (f"fit: format_error: non-UTF-8 byte "
                             f"0x{byte:02x} at line {line}\n")
+
+
+def test_parse_cell_over_the_field_limit_is_a_format_error(tmp_path, capsys):
+    """A cell longer than csv.field_size_limit() is a format error that
+    names the line of its record, not a csv.Error traceback."""
+    path = write(tmp_path, "long.csv",
+                 "x,y\n1," + "7" * 200_000 + "\n2,3\n3,4\n")
+    with pytest.raises(FormatError) as info:
+        parse_csv(path)
+    assert (info.value.line, info.value.col) == (2, None)
+    assert main(["tls-line", "--input", path]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["kind"] == "format_error"
+    assert captured.err == (
+        f"fit: format_error: unreadable record at line 2: field larger than "
+        f"field limit ({csv.field_size_limit()})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +476,43 @@ def test_objective_scales_exactly_by_powers_of_two(tmp_path, mode, cols, p, j):
         assert code == EXIT_OK
         objectives.append(report.objective)
     assert objectives[1] == math.ldexp(objectives[0], 1000)
+
+
+# Cells of numeric files: moderate and any finite floats, the extremes and
+# the zeros.
+CELLS = st.one_of(st.floats(-100.0, 100.0), st.integers(-3, 3).map(float),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308,
+                                   sys.float_info.max, -sys.float_info.max]))
+NUMERIC_FILES = st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(CELLS, min_size=cols, max_size=cols), max_size=12)).map(
+    lambda rows: "".join(",".join(map(repr, row)) + "\n"
+                         for row in rows).encode())
+FILES = st.one_of(st.binary(max_size=200),
+                  st.text("0123456789.,-+eE \r\n\"xnaif", max_size=120).map(
+                      str.encode),
+                  NUMERIC_FILES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=FILES, mode=st.sampled_from(MODES),
+       rhs_cols=st.just(1) | st.integers(-1, 4),
+       frozen_cols=st.just(0) | st.integers(-1, 4))
+@example(data=b"x,y\n1," + b"7" * 200_000 + b"\n2,3\n3,4\n",
+         mode="tls-line", rhs_cols=1, frozen_cols=0)
+def test_every_input_ends_in_a_typed_report(tmp_path, data, mode, rhs_cols,
+                                            frozen_cols):
+    """Whatever the file holds and however the columns are split, ``run``
+    returns a report with exit code 0, 1 or 2, its JSON parses with no
+    non-finite number, and its text renders."""
+    path = write_bytes(tmp_path, "any.csv", data)
+    report, code = run(FitRequest(mode, path, rhs_cols, frozen_cols))
+    assert isinstance(report, FitReport)
+    assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_NO_TLS_SOLUTION)
+    assert (report.error is None) == (code == EXIT_OK)
+    json.loads(render_json(report), parse_constant=reject_constant)
+    render_text(report)
 
 
 # ---------------------------------------------------------------------------

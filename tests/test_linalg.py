@@ -427,15 +427,15 @@ def test_thin_svd_of_one_column(column, with_u):
         assert not u.any()
 
 
-def test_round_tables_are_cached_read_only():
+def test_round_robin_tables_are_cached_read_only():
     """The round-robin tables are built once per width and cannot be
     written; sweeping the same input twice gives the same bits, and the
     tables are unchanged afterwards."""
     for n in (4, 5, 12, 2 * _FLOAT_MAX_PAIRS + 3):
-        order, shift = linalg._round_tables(n)
-        assert linalg._round_tables(n)[0] is order
-        kept = order.copy(), shift.copy()
-        for table in (order, shift):
+        tables = linalg._round_robin(n)
+        assert linalg._round_robin(n) is tables
+        kept = [table.copy() for table in tables]
+        for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -446,21 +446,18 @@ def test_round_tables_are_cached_read_only():
             assert _jacobi_rounds(work, 3 * n)
             swept.append(work)
         assert np.array_equal(swept[0], swept[1])
-        assert np.array_equal(order, kept[0])
-        assert np.array_equal(shift, kept[1])
+        for table, copy in zip(tables, kept):
+            assert np.array_equal(table, copy)
 
 
-def test_meeting_rounds_follow_the_round_tables():
-    """For every width 4-64, stepping ``order`` through ``shift`` seats
-    every pair of columns together in exactly one round of a sweep and
-    ends back in the first order; ``_meeting_rounds`` names that round
-    for the two rows of ``work[order]`` that hold the pair.  The table is
-    built once per width and cannot be written."""
-    for n in range(4, 65):
-        order, shift = linalg._round_tables(n)
-        meet = linalg._meeting_rounds(n)
-        assert linalg._meeting_rounds(n) is meet
-        assert not meet.flags.writeable
+def test_round_robin_meetings_follow_a_simulated_sweep():
+    """For every width 4-64, and 97, 128 and 129, stepping ``order``
+    through ``shift`` round by round seats every pair of columns together
+    in exactly one round of a sweep and ends back in the first order;
+    ``meet`` names that round for the two rows of ``work[order]`` that
+    hold the pair, and is 0 on the diagonal."""
+    for n in [*range(4, 65), 97, 128, 129]:
+        order, shift, meet = linalg._round_robin(n)
         bye = n % 2
         row_of = np.argsort(order)  # the row of work[order] with column c
         met = set()
@@ -474,6 +471,7 @@ def test_meeting_rounds_follow_the_round_tables():
             cols = cols[shift]
         assert len(met) == n * (n - 1) // 2
         assert np.array_equal(cols, order)
+        assert not meet.diagonal().any()
 
 
 def test_tangent_matches_the_zeta_form():
