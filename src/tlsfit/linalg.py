@@ -245,10 +245,12 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
     if pivot:
         # Row k holds column k of A, f[k, i] = reflector i . column k, the
         # squared norm of the part of column k still left, and the floor
-        # below which that has cancelled; one swap moves them all.
-        work = np.zeros((n, m + n + 2))
-        cols, f = work[:, :m], work[:, m:m + n]
-        left, floor = work[:, m + n], work[:, m + n + 1]
+        # below which that has cancelled; one swap moves them all, through
+        # the spare row n.
+        work = np.zeros((n + 1, m + n + 2))
+        spare = work[n]
+        cols, f = work[:n, :m], work[:n, m:m + n]
+        left, floor = work[:n, m + n], work[:n, m + n + 1]
         cols[:] = a.T
         left[:] = np.einsum("ij,ij->i", cols, cols)
         np.multiply(left, _DOWNDATE_TOL, out=floor)
@@ -259,7 +261,9 @@ def _householder_qr_arrays(a: np.ndarray, pivot: bool = False):
         if pivot:
             p = j + int(left[j:].argmax())
             if p != j:
-                work[[j, p]] = work[[p, j]]
+                spare[:] = work[j]
+                work[j] = work[p]
+                work[p] = spare
                 perm[j], perm[p] = perm[p], perm[j]
         x = cols[j]
         if j:
@@ -309,6 +313,16 @@ def _reflect(y: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _square_q(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Q = I - Y T Y^T as one m x m array, formed in place: the bytes of
+    ``_reflect(y, t, np.eye(m))`` without the identity and its product.
+    0 - x, not -x, keeps a zero entry +0 as I - Y T Y^T does."""
+    q = y @ (t @ y.T)
+    np.subtract(0.0, q, out=q)
+    q.reshape(-1)[::q.shape[0] + 1] += 1.0
+    return q
+
+
 def householder_qr(a: Matrix) -> QrResult:
     """Full QR factorization of a tall (rows >= cols) matrix; RangeError
     when an entry of R is beyond the float range."""
@@ -319,7 +333,7 @@ def householder_qr(a: Matrix) -> QrResult:
     exponent = _binary_exponent(a.array)
     r, y, t = _householder_qr_arrays(np.ldexp(a.array, -exponent))
     r = _ldexp_in_range(r, exponent, "R")
-    q = _reflect(y, t, np.eye(m))
+    q = _square_q(y, t)
     # Sign convention: nonnegative diagonal of R.
     flip = np.flatnonzero(r.diagonal() < 0.0)
     r[flip] = -r[flip]
@@ -357,10 +371,16 @@ _QR_MIN_SIZE = 5000
 # 1.49x / 1.55x, n = 8 1.71x / 1.77x, n = 12 2.40x / 2.29x.
 _ROUND_MIN_COLS = 4
 # A round of at most _FLOAT_MAX_PAIRS pairs takes the criterion and the
-# rotations pair by pair on floats, a larger one on arrays.  Alternating
-# runs of both on Gaussian inputs, m = n to 8 n with V (5 per width,
-# median time on arrays over time on floats): 10 pairs 1.40x, 12 1.28x,
-# 14 1.10x, 15 1.10x, 16-18 0.97-1.08x, 19 0.93-0.94x, 20 0.85x, 30 0.77x.
+# rotations pair by pair on floats, a larger one on arrays, in buffers
+# made once per call.  Alternating runs of both on Gaussian inputs (5 per
+# width, median of the best time on arrays over the best on floats, one
+# BLAS thread): swept on A with V, m = n to 8 n, 10 pairs 1.02x, 12 1.00x,
+# 13 0.96x, 14 0.95x, 15 0.88x, 16 0.86x, 18 0.76x, 20 0.75x, 30 0.68x; in
+# _thin_svd on R^T, m up to 400, with U / without, 11 pairs 1.02x / 1.05x,
+# 12 0.98x / 1.00x, 13 0.93x / 0.94x, 14 0.92x / 0.92x, 15 0.89x / 0.92x.
+# Arrays win from 13 pairs on, but the cutoff stays: a round on arrays
+# also ends its sweeps on a Gram test, so a lower cutoff changes results
+# in their last bits (30 of the 1134 lines of tools/same_outputs.py at 12).
 _FLOAT_MAX_PAIRS = 15
 
 
@@ -524,34 +544,62 @@ def _float_rotations(gram: list, w_pairs: np.ndarray,
     return rotated
 
 
-def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray) -> int:
+def _round_buffers(h: int) -> tuple:
+    """The arrays that ``_array_rotations`` fills for rounds of h pairs,
+    with fixed views of them.  ``_jacobi_rounds`` makes one set per call,
+    so concurrent and nested calls share none.  Squared norms, norms and
+    flush flags are 2 x h, so that alpha and beta, and each whole array
+    flattened, are contiguous."""
+    squares, norms = np.empty((2, 2, h))
+    flush = np.empty((2, h), dtype=bool)
+    gamma, bound, abs_gamma, d, g2, den = np.empty((6, h))
+    # [[1, -t], [t, 1]] per pair: the unit diagonal is set once.
+    turn = np.empty((h, 2, 2))
+    turn[:, 0, 0] = turn[:, 1, 1] = 1.0
+    hyp = np.empty((h, 1, 1))
+    return (squares.T, squares.reshape(-1), *squares, gamma, flush,
+            flush.reshape(-1), norms.reshape(-1), *norms, bound, abs_gamma,
+            np.empty(h, dtype=bool), d, g2, den, turn, turn[:, 1, 0],
+            turn[:, 0, 1], hyp, hyp.reshape(h))
+
+
+def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray,
+                     buffers: tuple) -> int:
     """What ``_float_rotations`` does, for a round of many pairs: the
     Gram entries come from two ``np.vecdot`` calls and the criterion and
-    ``_tangent`` run on arrays.  Returns the number of pairs that
-    rotate."""
-    squares = np.vecdot(w_pairs, w_pairs)
-    gamma = np.vecdot(w_pairs[:, 0], w_pairs[:, 1])
-    if np.minimum.reduce(squares, axis=None) <= _FLUSH2:
+    ``_tangent`` run on arrays, every step into ``buffers`` from
+    ``_round_buffers``.  Returns the number of pairs that rotate."""
+    (squares, squares_flat, alpha, beta, gamma, flush, flush_flat,
+     norms_flat, norms0, norms1, bound, abs_gamma, moves, d, g2, den, turn,
+     t, minus_t, hyp, hyp_flat) = buffers
+    np.vecdot(w_pairs, w_pairs, out=squares)
+    np.vecdot(w_pairs[:, 0], w_pairs[:, 1], out=gamma)
+    np.less_equal(squares_flat, _FLUSH2, out=flush_flat)
+    if np.count_nonzero(flush_flat):
         # A flushed column has gamma 0, which leaves its pair as is.
-        flush = squares <= _FLUSH2
-        w_pairs[flush] = 0.0
-        gamma[flush.any(axis=1)] = 0.0
-    norms = np.sqrt(squares)
-    moves = np.abs(gamma) > JACOBI_OFFDIAG_TOL * (norms[:, 0] * norms[:, 1])
+        w_pairs[flush.T] = 0.0
+        gamma[flush.any(axis=0)] = 0.0
+    np.sqrt(squares_flat, out=norms_flat)
+    np.multiply(norms0, norms1, out=bound)
+    np.multiply(JACOBI_OFFDIAG_TOL, bound, out=bound)
+    np.greater(np.abs(gamma, out=abs_gamma), bound, out=moves)
     count = int(np.count_nonzero(moves))
     if not count:
         return 0
-    d = squares[:, 1] - squares[:, 0]
-    g2 = gamma + gamma
-    den = d + np.copysign(np.hypot(d, g2), d)
-    # [[1, -t], [t, 1]] per pair, t = 0 for those that do not move;
-    # dividing by hypot(1, t) makes it the rotation [[c, -s], [s, c]].
-    turn = np.ones((w_pairs.shape[0], 2, 2))
-    t = turn[:, 1, 0]
-    t.fill(0.0)
-    np.divide(g2, den, out=t, where=moves)
-    np.negative(t, out=turn[:, 0, 1])
-    np.divide(turn, np.hypot(1.0, t)[:, None, None], out=rot)
+    np.subtract(beta, alpha, out=d)
+    np.add(gamma, gamma, out=g2)
+    np.copysign(np.hypot(d, g2, out=den), d, out=den)
+    np.add(d, den, out=den)
+    # t = 0 for the pairs that do not move; dividing [[1, -t], [t, 1]] by
+    # hypot(1, t) makes it the rotation [[c, -s], [s, c]].
+    if count < len(moves):
+        t.fill(0.0)
+        np.divide(g2, den, out=t, where=moves)
+    else:  # most rounds: every pair moves
+        np.divide(g2, den, out=t)
+    np.negative(t, out=minus_t)
+    np.hypot(1.0, t, out=hyp_flat)
+    np.divide(turn, hyp, out=rot)
     return count
 
 
@@ -569,7 +617,8 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     the bye, is left out, so the pairs start at row 1.  A round of at
     most _FLOAT_MAX_PAIRS pairs takes its Gram matrices in one
     ``np.vecdot`` call and its rotations from ``_float_rotations``, a
-    larger one from ``_array_rotations``.  Needs n >= 3.
+    larger one from ``_array_rotations``, which fills one set of
+    ``_round_buffers`` made per call.  Needs n >= 3.
 
     Rounds of few pairs stop after a sweep that rotates nothing.  Larger
     ones do not spend a sweep on confirming that: after a sweep that left
@@ -598,6 +647,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     cur, nxt = buffers
     few = h <= _FLOAT_MAX_PAIRS
     rot = np.empty((h, 2, 2))
+    round_buffers = None if few else _round_buffers(h)
     visit = [True] * (seats - 1)  # the rounds the next sweep evaluates
     converged = False
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -606,7 +656,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             rows, pairs, w_pairs, left, right = cur
             moved = visit[r] and (
                 _float_rotations(np.vecdot(left, right).tolist(), w_pairs, rot)
-                if few else _array_rotations(w_pairs, rot))
+                if few else _array_rotations(w_pairs, rot, round_buffers))
             if moved:
                 rotated += moved
                 np.matmul(rot, pairs, out=nxt[1])
@@ -650,7 +700,7 @@ def _complete_orthonormal(u_cols: np.ndarray) -> np.ndarray:
     those are replaced by the exact input columns.
     """
     _, y, t = _householder_qr_arrays(u_cols)
-    full = _reflect(y, t, np.eye(u_cols.shape[0]))
+    full = _square_q(y, t)
     full[:, :u_cols.shape[1]] = u_cols
     return full
 

@@ -1,6 +1,8 @@
 """Kernel tests: containers, QR, Jacobi SVD, pseudo-inverse, truncation."""
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from tlsfit import linalg
 from tlsfit.linalg import (_FLOAT_MAX_PAIRS, _QR_MIN_COLS, _QR_MIN_SIZE,
                            _ROUND_MIN_COLS, _array_rotations,
                            _float_rotations, _jacobi_pairs, _jacobi_rounds,
-                           _pinv, _tangent, _thin_svd, _truncate)
+                           _pinv, _round_buffers, _tangent, _thin_svd,
+                           _truncate)
 from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
 from oracles import graded_known_sigma, sym_eigen_closed_form
 
@@ -185,6 +188,31 @@ def test_qr_tall_invariants(shape):
     assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-12 * m
     assert np.linalg.norm(q @ r - a) <= 1e-12 * max(1.0, np.linalg.norm(a))
     assert np.array_equal(r, np.triu(r)) and np.all(r.diagonal() >= 0.0)
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (250, 60)])
+def test_pivoted_qr_arrays(shape):
+    """The pivoted QR on columns scaled by a permuted geomspace, with an
+    exactly zero column, a duplicated column and a column equal to another
+    plus 1e-9 noise: once its twin is taken, the downdated norm of each of
+    the last two falls below its floor and is recomputed.  ``perm`` is a
+    permutation, R is upper triangular with |R_jj| not increasing, and
+    A[:, perm] = Q R to 1e-14 ||A||."""
+    m, n = shape
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, n)) * rng.permutation(
+        np.geomspace(1.0, 1e-6, n))
+    a[:, 1] = 0.0
+    a[:, 3] = a[:, 5]
+    a[:, 4] = a[:, 6] + 1e-9 * rng.standard_normal(m)
+    a = np.ldexp(a, -linalg._binary_exponent(a))
+    r, y, t, perm = linalg._householder_qr_arrays(a, pivot=True)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    assert np.array_equal(r, np.triu(r))
+    diagonal = np.abs(r.diagonal())
+    assert np.all(diagonal[1:] <= diagonal[:-1])
+    q = linalg._reflect(y, t, np.eye(n))
+    assert np.linalg.norm(a[:, perm] - q @ r) <= 1e-14 * np.linalg.norm(a)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +662,7 @@ def test_float_and_array_rotations_agree(n):
             gram = np.vecdot(w_pairs[:, :, None], w_pairs[:, None])
             assert _float_rotations(gram.tolist(), w_pairs, rot)
         else:
-            assert _array_rotations(w_pairs, rot)
+            assert _array_rotations(w_pairs, rot, _round_buffers(n // 2))
         assert not w_pairs[0, 1].any()
         rotations.append(rot)
     floats, arrays = rotations
@@ -642,6 +670,36 @@ def test_float_and_array_rotations_agree(n):
         np.testing.assert_array_equal(rot[[0, 2]], [np.eye(2)] * 2)
     assert abs(floats[1, 1, 0]) > 0.4  # parallel columns: |t| >= 1/2
     assert np.all(np.abs(arrays - floats) <= 4 * np.spacing(np.abs(floats)))
+
+
+def test_concurrent_wide_sweeps_match_serial_runs():
+    """Four threads, two on 250 x 60 and two on 150 x 40, sweep rounds of
+    more than _FLOAT_MAX_PAIRS pairs at the same time, switching every
+    10 us: each gives exactly the serial result, since every call fills
+    round buffers of its own."""
+    rng = np.random.default_rng(95)
+    inputs = [rng.standard_normal(shape) for shape in [(250, 60), (150, 40)]]
+    serial = [_thin_svd(a) for a in inputs]
+    results = {}
+
+    def run(k):
+        results[k] = _thin_svd(inputs[k % 2])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for k, result in results.items():
+        for got, expected in zip(result, serial[k % 2]):
+            assert np.array_equal(got, expected)
 
 
 def _three_coupled_columns(shape):
@@ -680,9 +738,9 @@ def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", budget)
     rounds = []  # one entry per round evaluated on arrays
 
-    def counted(w_pairs, rot):
+    def counted(w_pairs, rot, buffers):
         rounds.append(None)
-        return _array_rotations(w_pairs, rot)
+        return _array_rotations(w_pairs, rot, buffers)
 
     monkeypatch.setattr(linalg, "_array_rotations", counted)
     a = (make or np.random.default_rng(70).standard_normal)(shape)
