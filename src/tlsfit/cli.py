@@ -283,8 +283,6 @@ def _json_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value + 0.0, ".17g")  # +0.0 folds -0.0 into 0
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):

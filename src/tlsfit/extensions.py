@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (Matrix, Vector, _binary_exponent, _pinv, _rank,
-                     _sum_of_squares, _thin_svd, _truncate)
+from .linalg import (Matrix, Vector, _binary_exponent, _ldexp_in_range,
+                     _pinv, _rank, _sum_of_squares, _thin_svd, _truncate)
 from .system import _split_or_raise
 
 __all__ = [
@@ -91,7 +91,8 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     The frozen block A1 may be empty (plain multi-RHS TLS) or cover all
     columns (ordinary least squares).  A rank-deficient frozen block
     leaves X1 underdetermined; the returned X1 has no component in the
-    null space of A1 and ``x1_unique`` is False.
+    null space of A1 and ``x1_unique`` is False.  Raises RangeError when
+    X1 is beyond the float range.
     """
     m = b.rows
     j, k, p = a1.cols, a2.cols, b.cols
@@ -104,12 +105,14 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
             f"solve_tls_fixed: need rows >= {j} + {k} + {p}, got {m}")
     if p < 1:
         raise DimensionError("solve_tls_fixed: B needs at least one column")
-    # The fit runs on (A1 | A2 | B) divided by one exact power of two,
-    # which leaves X1 and X2 as they are.
+    # A1 and (A2 | B) are each divided by an exact power of two, 2^e1 and
+    # 2^e, which leaves X2 as it is and X1 divided by 2^(e - e1).  So a
+    # frozen block far below the others is factored at its own scale, where
+    # 1 / sigma stays finite, and only X1 itself can leave the float range.
     a2b = np.column_stack([a2.array, b.array])
-    e = max(_binary_exponent(a1.array), _binary_exponent(a2b))
+    e, e1 = _binary_exponent(a2b), _binary_exponent(a1.array)
     np.ldexp(a2b, -e, out=a2b)
-    u1, s1, v1 = _thin_svd(np.ldexp(a1.array, -e))
+    u1, s1, v1 = _thin_svd(np.ldexp(a1.array, -e1))
     r = _rank(s1)
     basis = u1[:, :r]
     # Projecting [A2 B] off U1 leaves the Gram matrix, hence sigma and V,
@@ -118,7 +121,7 @@ def solve_tls_fixed(a1: Matrix, a2: Matrix, b: Matrix) -> FixedColsSolution:
     # S1 V1^T X1 = U1^T (B - A2 X2); nothing along V2 keeps X1 minimum-norm.
     x1 = _pinv(u1, s1, v1, a2b[:, k:] - a2b[:, :k] @ x2)
     return FixedColsSolution(
-        x1=Matrix(x1),
+        x1=Matrix(_ldexp_in_range(x1, e - e1, "X1")),
         x2=Matrix(x2),
         minimized_value=_sum_of_squares(s[k:], "minimized value"),
         x1_unique=bool(r == j),

@@ -362,8 +362,8 @@ def householder_qr(a: Matrix) -> QrResult:
 # Every lib_small input (m n <= 1600) stays on A, where it is 5-10% faster.
 _QR_MIN_COLS = 7
 _QR_MIN_SIZE = 5000
-# _jacobi_sweeps rotates a whole round of disjoint pairs at once on inputs
-# with at least _ROUND_MIN_COLS columns, and pair by pair below that.
+# _thin_svd rotates a whole round of disjoint pairs at once on inputs with
+# at least _ROUND_MIN_COLS columns, and pair by pair below that.
 # Alternating runs of both on Gaussian m x n inputs, m from n to 40 n
 # (9 per width, 7 runs each, median over the inputs of per-pair time over
 # round time, with V / without): n = 3 0.58x / 0.59x (one pair a round),
@@ -382,29 +382,6 @@ _ROUND_MIN_COLS = 4
 # also ends its sweeps on a Gram test, so a lower cutoff changes results
 # in their last bits (30 of the 1134 lines of tools/same_outputs.py at 12).
 _FLOAT_MAX_PAIRS = 15
-
-
-def _jacobi_sweeps(work: np.ndarray, m: int, on: str):
-    """One-sided Jacobi orthogonalization of the columns of a matrix W.
-
-    ``work`` holds column k of W as the first m entries of its row k; the
-    rest of the row, if any, is column k of a matrix that accumulates the
-    same rotations.  Rotates pairs of rows in place until every pair of
-    columns of W satisfies the relative orthogonality criterion.  Inputs
-    of _ROUND_MIN_COLS columns or more sweep in round-robin order, two or
-    three columns pair by pair; both apply the same rotation rule.
-    ``on`` names the swept matrix ("A" or "R^T") in a ConvergenceError,
-    which also reports the largest off-diagonal ratio left in W.
-    """
-    path = "rounds" if work.shape[0] >= _ROUND_MIN_COLS else "pairs"
-    if (_jacobi_rounds if path == "rounds" else _jacobi_pairs)(work, m):
-        return
-    ratio = _offdiag_ratios(work[:, :m]).max(initial=0.0)
-    raise ConvergenceError(
-        f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
-        f"sweeps ({path} on {on}; largest off-diagonal ratio "
-        f"{ratio:.17g} vs JACOBI_OFFDIAG_TOL "
-        f"{JACOBI_OFFDIAG_TOL:g})")
 
 
 def _offdiag_ratios(w: np.ndarray) -> np.ndarray:
@@ -440,7 +417,10 @@ def _tangent(alpha: float, beta: float, gamma: float) -> float:
 def _jacobi_pairs(work: np.ndarray, m: int) -> bool:
     """Cyclic sweeps: the pairs (i, j), i < j, one at a time in row order,
     each pair's inner products and rotation one matrix product apiece.
-    Returns whether a sweep within the budget confirmed every pair."""
+    Row k of ``work`` is column k of W in its first m entries and, in the
+    rest, column k of a matrix that takes the same rotations, as for
+    ``_jacobi_rounds``.  Returns whether a sweep within the budget
+    confirmed every pair."""
     n = work.shape[0]
     rot = np.empty((2, 2))
     # Rows i and j of every pair, and their columns of W, viewed once.
@@ -544,63 +524,65 @@ def _float_rotations(gram: list, w_pairs: np.ndarray,
     return rotated
 
 
-def _round_buffers(h: int) -> tuple:
-    """The arrays that ``_array_rotations`` fills for rounds of h pairs,
-    with fixed views of them.  ``_jacobi_rounds`` makes one set per call,
-    so concurrent and nested calls share none.  Squared norms, norms and
-    flush flags are 2 x h, so that alpha and beta, and each whole array
-    flattened, are contiguous."""
+def _array_rotations(h: int):
+    """What ``_float_rotations`` does, for rounds of h pairs: returns the
+    function (w_pairs, rot) -> the number of pairs that rotate.
+
+    The Gram entries come from two ``np.vecdot`` calls and the criterion
+    and ``_tangent`` run on arrays, every step into arrays allocated here
+    once.  ``_jacobi_rounds`` calls this once per call, so concurrent and
+    nested calls share none.  Squared norms, norms and flush flags are
+    2 x h, so that alpha and beta, and each whole array flattened, are
+    contiguous.
+    """
     squares, norms = np.empty((2, 2, h))
+    alpha, beta = squares
+    by_pair, squares_flat = squares.T, squares.reshape(-1)
+    norms_flat = norms.reshape(-1)
+    norms0, norms1 = norms
     flush = np.empty((2, h), dtype=bool)
+    flush_flat = flush.reshape(-1)
     gamma, bound, abs_gamma, d, g2, den = np.empty((6, h))
+    moves = np.empty(h, dtype=bool)
     # [[1, -t], [t, 1]] per pair: the unit diagonal is set once.
     turn = np.empty((h, 2, 2))
     turn[:, 0, 0] = turn[:, 1, 1] = 1.0
+    t, minus_t = turn[:, 1, 0], turn[:, 0, 1]
     hyp = np.empty((h, 1, 1))
-    return (squares.T, squares.reshape(-1), *squares, gamma, flush,
-            flush.reshape(-1), norms.reshape(-1), *norms, bound, abs_gamma,
-            np.empty(h, dtype=bool), d, g2, den, turn, turn[:, 1, 0],
-            turn[:, 0, 1], hyp, hyp.reshape(h))
+    hyp_flat = hyp.reshape(h)
 
+    def rotations(w_pairs: np.ndarray, rot: np.ndarray) -> int:
+        np.vecdot(w_pairs, w_pairs, out=by_pair)
+        np.vecdot(w_pairs[:, 0], w_pairs[:, 1], out=gamma)
+        np.less_equal(squares_flat, _FLUSH2, out=flush_flat)
+        if np.count_nonzero(flush_flat):
+            # A flushed column has gamma 0, which leaves its pair as is.
+            w_pairs[flush.T] = 0.0
+            gamma[flush.any(axis=0)] = 0.0
+        np.sqrt(squares_flat, out=norms_flat)
+        np.multiply(norms0, norms1, out=bound)
+        np.multiply(JACOBI_OFFDIAG_TOL, bound, out=bound)
+        np.greater(np.abs(gamma, out=abs_gamma), bound, out=moves)
+        count = int(np.count_nonzero(moves))
+        if not count:
+            return 0
+        np.subtract(beta, alpha, out=d)
+        np.add(gamma, gamma, out=g2)
+        np.copysign(np.hypot(d, g2, out=den), d, out=den)
+        np.add(d, den, out=den)
+        # t = 0 for the pairs that do not move; dividing [[1, -t], [t, 1]]
+        # by hypot(1, t) makes it the rotation [[c, -s], [s, c]].
+        if count < h:
+            t.fill(0.0)
+            np.divide(g2, den, out=t, where=moves)
+        else:  # most rounds: every pair moves
+            np.divide(g2, den, out=t)
+        np.negative(t, out=minus_t)
+        np.hypot(1.0, t, out=hyp_flat)
+        np.divide(turn, hyp, out=rot)
+        return count
 
-def _array_rotations(w_pairs: np.ndarray, rot: np.ndarray,
-                     buffers: tuple) -> int:
-    """What ``_float_rotations`` does, for a round of many pairs: the
-    Gram entries come from two ``np.vecdot`` calls and the criterion and
-    ``_tangent`` run on arrays, every step into ``buffers`` from
-    ``_round_buffers``.  Returns the number of pairs that rotate."""
-    (squares, squares_flat, alpha, beta, gamma, flush, flush_flat,
-     norms_flat, norms0, norms1, bound, abs_gamma, moves, d, g2, den, turn,
-     t, minus_t, hyp, hyp_flat) = buffers
-    np.vecdot(w_pairs, w_pairs, out=squares)
-    np.vecdot(w_pairs[:, 0], w_pairs[:, 1], out=gamma)
-    np.less_equal(squares_flat, _FLUSH2, out=flush_flat)
-    if np.count_nonzero(flush_flat):
-        # A flushed column has gamma 0, which leaves its pair as is.
-        w_pairs[flush.T] = 0.0
-        gamma[flush.any(axis=0)] = 0.0
-    np.sqrt(squares_flat, out=norms_flat)
-    np.multiply(norms0, norms1, out=bound)
-    np.multiply(JACOBI_OFFDIAG_TOL, bound, out=bound)
-    np.greater(np.abs(gamma, out=abs_gamma), bound, out=moves)
-    count = int(np.count_nonzero(moves))
-    if not count:
-        return 0
-    np.subtract(beta, alpha, out=d)
-    np.add(gamma, gamma, out=g2)
-    np.copysign(np.hypot(d, g2, out=den), d, out=den)
-    np.add(d, den, out=den)
-    # t = 0 for the pairs that do not move; dividing [[1, -t], [t, 1]] by
-    # hypot(1, t) makes it the rotation [[c, -s], [s, c]].
-    if count < len(moves):
-        t.fill(0.0)
-        np.divide(g2, den, out=t, where=moves)
-    else:  # most rounds: every pair moves
-        np.divide(g2, den, out=t)
-    np.negative(t, out=minus_t)
-    np.hypot(1.0, t, out=hyp_flat)
-    np.divide(turn, hyp, out=rot)
-    return count
+    return rotations
 
 
 def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
@@ -617,8 +599,8 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     the bye, is left out, so the pairs start at row 1.  A round of at
     most _FLOAT_MAX_PAIRS pairs takes its Gram matrices in one
     ``np.vecdot`` call and its rotations from ``_float_rotations``, a
-    larger one from ``_array_rotations``, which fills one set of
-    ``_round_buffers`` made per call.  Needs n >= 3.
+    larger one from the function that ``_array_rotations`` makes once per
+    call.  Needs n >= 3.
 
     Rounds of few pairs stop after a sweep that rotates nothing.  Larger
     ones do not spend a sweep on confirming that: after a sweep that left
@@ -647,7 +629,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     cur, nxt = buffers
     few = h <= _FLOAT_MAX_PAIRS
     rot = np.empty((h, 2, 2))
-    round_buffers = None if few else _round_buffers(h)
+    rotations = None if few else _array_rotations(h)
     visit = [True] * (seats - 1)  # the rounds the next sweep evaluates
     converged = False
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -656,7 +638,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             rows, pairs, w_pairs, left, right = cur
             moved = visit[r] and (
                 _float_rotations(np.vecdot(left, right).tolist(), w_pairs, rot)
-                if few else _array_rotations(w_pairs, rot, round_buffers))
+                if few else rotations(w_pairs, rot))
             if moved:
                 rotated += moved
                 np.matmul(rot, pairs, out=nxt[1])
@@ -734,7 +716,9 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
     2008) do: rows sorted, it is factored A P = Q R by the pivoted QR, and
     the sweeps run on X = R^T.  X J = W with orthogonal columns gives
     V = P W / sigma and, only when asked for, U = Q [J; 0].  Smaller
-    inputs are swept as they are.
+    inputs are swept as they are.  Sweeps that exhaust JACOBI_MAX_SWEEPS
+    raise a ConvergenceError naming the path and the swept matrix, with
+    the largest off-diagonal ratio left in W.
     """
     m, n = a.shape
     on_r = n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
@@ -761,7 +745,16 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
         swept = m
     if work.shape[1] > swept:  # J or V starts as the identity
         work.reshape(-1)[swept::work.shape[1] + 1] = 1.0
-    _jacobi_sweeps(work, swept, "R^T" if on_r else "A")
+    # Round-robin from _ROUND_MIN_COLS columns on, pair by pair below.
+    path = "rounds" if n >= _ROUND_MIN_COLS else "pairs"
+    sweeps = _jacobi_rounds if path == "rounds" else _jacobi_pairs
+    if not sweeps(work, swept):
+        ratio = _offdiag_ratios(work[:, :swept]).max(initial=0.0)
+        raise ConvergenceError(
+            f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
+            f"sweeps ({path} on {'R^T' if on_r else 'A'}; largest "
+            f"off-diagonal ratio {ratio:.17g} vs JACOBI_OFFDIAG_TOL "
+            f"{JACOBI_OFFDIAG_TOL:g})")
     w = work[:, :swept]
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     # Columns of W over sigma; a zero column stays zero.

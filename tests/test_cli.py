@@ -38,6 +38,12 @@ from tlsfit.linalg import _sum_of_squares
 SQUARE_CSV = "1,1\n-1,1\n1,-1\n-1,-1\n"
 NO_SOLUTION_CSV = "1,0,1\n0,0,1\n0,0,1\n"
 BOM = b"\xef\xbb\xbf"
+# A frozen column of +-2^-1022 beside A2 = (1..6) and B = 2 A2 + noise:
+# X1 is 1.35e306, but at the scale of (A2 | B) sigma of A1 is subnormal
+# and 1 / sigma overflows.
+FROZEN_TINY_CSV = "".join(
+    f"{sign * 2.0 ** -1022!r},{a2},{b}\n" for sign, a2, b in zip(
+        (1, -1) * 3, range(1, 7), (2.1, 3.9, 6.05, 8, 9.95, 12.02)))
 
 
 def write(tmp_path, name, text):
@@ -501,6 +507,8 @@ FILES = st.one_of(st.binary(max_size=200),
        frozen_cols=st.just(0) | st.integers(-1, 4))
 @example(data=b"x,y\n1," + b"7" * 200_000 + b"\n2,3\n3,4\n",
          mode="tls-line", rhs_cols=1, frozen_cols=0)
+@example(data=FROZEN_TINY_CSV.encode(), mode="tls-fixed", rhs_cols=1,
+         frozen_cols=1)
 def test_every_input_ends_in_a_typed_report(tmp_path, data, mode, rhs_cols,
                                             frozen_cols):
     """Whatever the file holds and however the columns are split, ``run``

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from tlsfit import (
     DimensionError,
+    FitError,
     Matrix,
     Method,
     NoTlsSolutionError,
     PointCloud,
+    RangeError,
     Vector,
     fit_hyperplane_tls,
     jacobi_svd,
@@ -183,12 +185,16 @@ def test_fixed_minimized_value_matches_direct_evaluation():
 
 
 def test_fixed_is_exact_under_power_of_two_scaling():
-    """The frozen-column fit runs on (A1 | A2 | B) divided by one exact
-    power of two.  Scaling small integers by 2^k, which keeps them exact
-    (k = +-500, and k = -1060, where every entry is subnormal), leaves X1
-    and X2 bit for bit and scales the minimized value by exactly 2^(2k).
-    A fit with every entry near 1e-310 gives finite values, where 1 / sigma
-    of A1 at its own scale would overflow."""
+    """The frozen-column fit runs on A1 and on (A2 | B), each divided by
+    an exact power of two.  Scaling small integers by 2^k, which keeps
+    them exact (k = +-500, and k = -1060, where every entry is subnormal),
+    leaves X1 and X2 bit for bit and scales the minimized value by exactly
+    2^(2k).  Scaling A1 alone by 2^-k leaves X2 and the minimized value
+    bit for bit and scales X1 by exactly 2^k, also where A1 is at or below
+    2^-1022 and sigma of A1 at the scale of (A2 | B) would be subnormal,
+    until X1 leaves the float range: then RangeError.  A fit with every
+    entry near 1e-310 gives finite values, where 1 / sigma of the unscaled
+    A1 would overflow."""
     rng = np.random.default_rng(80)
     blocks = [rng.integers(-8, 9, (8, cols)).astype(float)
               for cols in (2, 2, 1)]
@@ -198,6 +204,14 @@ def test_fixed_is_exact_under_power_of_two_scaling():
         assert np.array_equal(sol.x1.array, base.x1.array)
         assert np.array_equal(sol.x2.array, base.x2.array)
         assert sol.minimized_value == np.ldexp(base.minimized_value, 2 * k)
+    a1, a2, b = blocks
+    for k in (1000, -1000, 1022, 1025):  # max |X1| is 0.42
+        sol = solve_tls_fixed(Matrix(np.ldexp(a1, -k)), Matrix(a2), Matrix(b))
+        assert np.array_equal(sol.x1.array, np.ldexp(base.x1.array, k))
+        assert np.array_equal(sol.x2.array, base.x2.array)
+        assert sol.minimized_value == base.minimized_value
+    with pytest.raises(RangeError, match="X1 beyond the float range"):
+        solve_tls_fixed(Matrix(np.ldexp(a1, -1026)), Matrix(a2), Matrix(b))
     tiny = solve_tls_fixed(*(Matrix(rng.standard_normal((8, 1)) * 1e-310)
                              for _ in range(3)))
     assert np.isfinite(tiny.x1.array).all() and np.isfinite(tiny.x2.array).all()
@@ -348,3 +362,38 @@ def test_property_system_and_hyperplane_share_the_multi_split(n, extra, seed):
     assert fit.expressible
     slope = fit.explicit_coeffs.array[1:]
     assert np.array_equal(slope, on_cloud.x.array[:, 0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cols=st.integers(2, 5), extra=extra_rows, seed=seeds,
+       exponents=st.lists(st.integers(-1074, 1023), min_size=5, max_size=5),
+       split=st.tuples(st.integers(0, 4), st.integers(0, 4)))
+def test_property_extreme_column_scales_end_in_finite_results_or_fit_errors(
+        cols, extra, seed, exponents, split):
+    """Columns of entries in (-1, 1), each scaled by its own 2^k for any k
+    from the subnormal floor to the largest exponent: every public solver,
+    on A with up to 4 columns, returns finite values or raises a FitError,
+    never a warning or another exception (a non-finite entry would fail
+    ``Matrix``).  Frozen columns take a random split of the columns."""
+    rng = np.random.default_rng(seed)
+    m = cols + extra  # at most 11
+    d = np.ldexp(rng.uniform(-1.0, 1.0, (m, cols)), exponents[:cols])
+    n = cols - 1
+    p = 1 + split[0] % n
+    j = split[1] % (cols - p + 1)
+    calls = [lambda method=method: solve_ols(Matrix(d[:, :n]),
+                                             Vector(d[:, n]), method)
+             for method in (Method.NORMAL_EQUATIONS, Method.QR, Method.SVD)]
+    calls += [
+        lambda: fit_hyperplane_tls(PointCloud(d)),
+        lambda: solve_tls_system(Matrix(d[:, :n]), Vector(d[:, n])),
+        lambda: solve_tls_multi(Matrix(d[:, :-p]), Matrix(d[:, -p:])),
+        lambda: solve_tls_fixed(Matrix(d[:, :j]), Matrix(d[:, j:-p]),
+                                Matrix(d[:, -p:]))]
+    for call in calls:
+        try:
+            result = call()
+        except FitError:
+            continue
+        assert all(math.isfinite(value) for value in result
+                   if isinstance(value, float))

@@ -35,6 +35,8 @@ def test_pointcloud_validation():
         PointCloud([[1.0, 2.0]])  # one point only
     with pytest.raises(DimensionError):
         PointCloud([[1.0], [2.0]])  # one coordinate only
+    cloud = PointCloud([[1.0, 2.0], [3.0, 4.5]])
+    assert repr(cloud) == "PointCloud([[1.0, 2.0], [3.0, 4.5]])"
 
 
 def fit_centroid(points):
