@@ -20,8 +20,11 @@ they are.  The sweeps rotate a round of disjoint pairs at once from
 _ROUND_MIN_COLS columns on, taking the rotations of a round with few
 pairs on floats, and sweep two or three columns one pair at a time; all
 compute the rotation as t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
-Rounds of many pairs end on one Gram product instead of a confirming
-sweep, and revisit only the rounds in which a pair still fails.
+Rounds of many pairs follow each sweep with product steps instead of
+more sweeps: one Gram product gives every pair's first-order rotation
+at once, and one orthogonal J = exp(K) of them moves the whole work
+block (Ogita & Aishima); a pruned sweep revisits only the rounds of the
+pairs a step cannot take.
 
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
@@ -372,24 +375,35 @@ _QR_MIN_SIZE = 5000
 _ROUND_MIN_COLS = 4
 # A round of at most _FLOAT_MAX_PAIRS pairs takes the criterion and the
 # rotations pair by pair on floats, a larger one on arrays, in buffers
-# made once per call.  Alternating runs of both on Gaussian inputs (5 per
-# width, median of the best time on arrays over the best on floats, one
-# BLAS thread): swept on A with V, m = n to 8 n, 10 pairs 1.02x, 12 1.00x,
-# 13 0.96x, 14 0.95x, 15 0.88x, 16 0.86x, 18 0.76x, 20 0.75x, 30 0.68x; in
-# _thin_svd on R^T, m up to 400, with U / without, 11 pairs 1.02x / 1.05x,
-# 12 0.98x / 1.00x, 13 0.93x / 0.94x, 14 0.92x / 0.92x, 15 0.89x / 0.92x.
-# Arrays win from 13 pairs on, but the cutoff stays: a round on arrays
-# also ends its sweeps on a Gram test, so a lower cutoff changes results
-# in their last bits (30 of the 1134 lines of tools/same_outputs.py at 12).
-_FLOAT_MAX_PAIRS = 15
+# made once per call.  With the product steps that follow the sweeps of
+# _STEP_MIN_PAIRS pairs and more: _thin_svd with all rounds on arrays over
+# all on floats, Gaussian m x n with m = n to 12 n (median over 5 shapes of
+# the best of 3 x 3 runs, alternating, one BLAS thread; 2-5 repeats per
+# width, with U / without): 8 pairs 1.13x / 1.13x, 10 1.05x / 1.03x,
+# 12 1.01-1.03x / 1.00-1.04x, 13 0.98-1.13x / 0.94-1.02x, 14 0.91-0.99x /
+# 0.97-1.02x, 15 0.94-0.99x / 0.93-0.98x, 16 0.92x / 0.95x.  Arrays win
+# from 14 pairs on, by 1-5%.
+_FLOAT_MAX_PAIRS = 13
+# _jacobi_rounds follows each sweep of rounds of at least _STEP_MIN_PAIRS
+# pairs with Gram tests and product steps.
+_STEP_MIN_PAIRS = 8
+# A product step is first order: it takes a pair's K_ij only while every
+# pair's off-diagonal ratio, and |K_ij| itself, are at most _STEP_MAX.
+# Without the ratio gate the steps undid the sweeps: 14-17 of 100 inputs
+# at n = 16-64 (rows graded to 1e-30, or 1e-14 conditioning) did not
+# converge in 60 sweeps and steps; with it, as without steps, all did.
+_STEP_MAX = 0.5
+# Newton-Schulz steps in _skew_exp end once max|J^T J - I| <= n u, which
+# took at most 2 on lib_wide (seeds 1-3); the bound only stops a loop that
+# rounding would keep above n u.
+_SCHULZ_MAX_STEPS = 8
 
 
-def _offdiag_ratios(w: np.ndarray) -> np.ndarray:
-    """|g_ij| / (sqrt(g_ii) sqrt(g_jj)) from one Gram product G = W W^T
-    of the rows of ``w``, for rows i != j whose squared norms are both
-    above _FLUSH2, and 0 elsewhere: a pair fails the orthogonality
-    criterion iff its ratio exceeds JACOBI_OFFDIAG_TOL."""
-    gram = w @ w.T
+def _offdiag_ratios(gram: np.ndarray) -> np.ndarray:
+    """|g_ij| / (sqrt(g_ii) sqrt(g_jj)) of a Gram product G = W W^T of the
+    rows of W, for rows i != j whose squared norms are both above
+    _FLUSH2, and 0 elsewhere: a pair fails the orthogonality criterion iff
+    its ratio exceeds JACOBI_OFFDIAG_TOL."""
     live = gram.diagonal() > _FLUSH2
     norms = np.sqrt(gram.diagonal(), where=live, out=np.ones(len(live)))
     ratio = np.abs(gram) / np.outer(norms, norms)
@@ -490,9 +504,9 @@ def _round_robin(n: int):
 
 
 def _float_rotations(gram: list, w_pairs: np.ndarray,
-                     rot: np.ndarray) -> bool:
+                     rot: np.ndarray) -> int:
     """The rotations of one round into ``rot``, pair by pair on floats;
-    returns whether any pair rotates.
+    returns the number of pairs that rotate.
 
     ``gram[k]`` is the 2 x 2 Gram matrix [[alpha, gamma], [gamma, beta]],
     as nested lists, of the two columns of W in ``w_pairs[k]``; ``rot[k]``
@@ -500,7 +514,7 @@ def _float_rotations(gram: list, w_pairs: np.ndarray,
     pair below the criterion, and ``rot`` is left as it is when no pair
     rotates.  A column with squared norm at most _FLUSH2 is set to zero.
     """
-    entries, rotated = [], False
+    entries, rotated = [], 0
     for k, ((alpha, gamma), (_, beta)) in enumerate(gram):
         if alpha <= _FLUSH2 or beta <= _FLUSH2:
             # gamma of a flushed column is 0: the pair stays as is.
@@ -518,7 +532,7 @@ def _float_rotations(gram: list, w_pairs: np.ndarray,
             c = 1.0 / math.hypot(1.0, t)
             s = c * t
             entries += (c, -s, s, c)
-            rotated = True
+            rotated += 1
     if rotated:
         rot.reshape(-1)[:] = entries
     return rotated
@@ -585,10 +599,41 @@ def _array_rotations(h: int):
     return rotations
 
 
+def _skew_exp(k: np.ndarray) -> np.ndarray:
+    """An orthogonal J that agrees with exp(K) up to the K^4 term, for a
+    skew K (Ogita & Aishima, Japan J. Indust. Appl. Math. 35, 2018 and 37,
+    2020), from matrix products alone.
+
+    K is scaled by 2^-s so that ||K||_F <= 1/4, its exponential taken to
+    the K^4 term of the Taylor series (the rest is below 1e-5), and
+    squared s times; Newton-Schulz steps J <- J - J (J^T J - I) / 2 then
+    make J orthogonal to n u (unit roundoff u).
+    """
+    n = len(k)
+    eye = np.eye(n)
+    s = max(0, math.frexp(math.sqrt(np.vdot(k, k)))[1] + 2)
+    k = np.ldexp(k, -s)
+    j = eye + k / 4.0
+    for c in (3.0, 2.0):  # Horner: I + K (I + K/2 (I + K/3 (I + K/4)))
+        j = k @ j / c + eye
+    j = k @ j + eye
+    for _ in range(s):
+        j = j @ j
+    limit = n * np.finfo(float).eps / 2
+    for _ in range(_SCHULZ_MAX_STEPS):
+        e = j.T @ j
+        e -= eye
+        if np.maximum.reduce(np.abs(e), axis=None) <= limit:
+            break
+        j -= 0.5 * (j @ e)
+    return j
+
+
 def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     """Round-robin sweeps (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1),
     1985): n-1 rounds of n/2 disjoint pairs (n rounds of (n-1)/2 for odd
-    n), each round in a few numpy calls.  Returns whether the sweeps
+    n), each round in a few numpy calls; on rounds of many pairs, each
+    sweep is followed by product steps.  Returns whether the sweeps
     confirmed every pair within the budget.
 
     The rows of ``work`` are reordered such that rows 2k and 2k+1 are
@@ -602,16 +647,26 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     larger one from the function that ``_array_rotations`` makes once per
     call.  Needs n >= 3.
 
-    Rounds of few pairs stop after a sweep that rotates nothing.  Larger
-    ones do not spend a sweep on confirming that: after a sweep that left
-    some pair of live columns (squared norms above _FLUSH2) unrotated,
-    ``_offdiag_ratios`` tests every pair at once.  The sweeps stop when
-    no pair fails, with the other columns zeroed as a sweep zeroes them;
-    otherwise the next sweep evaluates only the rounds in which a failing
-    pair meets (``meet`` of ``_round_robin``), and the others only move
-    their rows on.  Such a pruned sweep counts toward the budget, and one
-    that rotates nothing stops the sweeps too: that ends a pair that the
-    Gram product flags at the rounding level and its own round does not.
+    Rounds of fewer than _STEP_MIN_PAIRS pairs stop after a sweep that
+    rotates nothing.  Larger ones do not spend sweeps on the last digits:
+    after each sweep, one Gram product G = W W^T of the swept columns
+    tests every pair of live columns (squared norms above _FLUSH2; the
+    others are zeroed as a sweep zeroes them).  The sweeps stop when no
+    pair fails.  Otherwise K_ij = g_ij / (g_jj - g_ii) is the skew
+    first-order rotation that makes every pair orthogonal at once (Ogita
+    & Aishima), and one product with J = ``_skew_exp(K)`` moves the whole
+    of ``work``, W and the columns that follow it: a product step.  The
+    first order is no guide while some pair is far from orthogonal, or
+    for a pair with near-tied norms: K is taken only while every ratio
+    is at most _STEP_MAX, and without the entries |K_ij| > _STEP_MAX.
+    A failing pair left out goes to the next sweep, which evaluates only
+    the rounds in which such a pair meets (``meet`` of ``_round_robin``)
+    and only moves the other rounds' rows on; with none left out, the
+    Gram test comes again.  Steps and pruned sweeps count toward the
+    budget.  A pruned sweep that rotates nothing ends the sweeps only if
+    the Gram test then flags no pair outside the rounds it visited: a
+    pair that the Gram product flags at the rounding level and its own
+    round does not.
     """
     n, width = work.shape
     seats = n + n % 2
@@ -631,8 +686,10 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     rot = np.empty((h, 2, 2))
     rotations = None if few else _array_rotations(h)
     visit = [True] * (seats - 1)  # the rounds the next sweep evaluates
+    budget = JACOBI_MAX_SWEEPS
     converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
+    while budget and not converged:
+        budget -= 1
         rotated = 0
         for r in range(seats - 1):
             rows, pairs, w_pairs, left, right = cur
@@ -649,26 +706,42 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             # ``out``; every index of ``shift`` is in range.
             cur[0].take(shift, 0, nxt[0], "clip")
             cur, nxt = nxt, cur
-        if not rotated:
-            converged = True
-            break
-        if few:
+        if h < _STEP_MIN_PAIRS:
+            converged = not rotated
             continue
-        # A pair with a column at or below _FLUSH2 never rotates, and it
-        # does not count as one that met the criterion.
-        w = cur[0][:, :m]
-        live = np.vecdot(w, w) > _FLUSH2
-        n_live = int(np.count_nonzero(live))
-        if rotated >= n_live * (n_live - 1) // 2:
-            continue
-        w[~live] = 0.0
-        fails = _offdiag_ratios(w) > JACOBI_OFFDIAG_TOL
-        if not fails.any():
-            converged = True
-            break
-        meets = np.zeros(seats - 1, dtype=bool)
-        meets[meet[fails]] = True
-        visit = meets.tolist()
+        visited = np.array(visit)
+        quiet = not rotated
+        visit = None
+        while visit is None:  # Gram tests and product steps
+            w = cur[0][:, :m]
+            w[np.vecdot(w, w) <= _FLUSH2] = 0.0
+            gram = w @ w.T
+            ratio = _offdiag_ratios(gram)
+            fails = ratio > JACOBI_OFFDIAG_TOL
+            if not fails.any() or quiet and visited[meet[fails]].all():
+                converged = True
+                break
+            if ratio.max() > _STEP_MAX:
+                small = np.zeros_like(fails)
+            else:
+                diag = gram.diagonal()
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    k = gram / (diag - diag[:, None])
+                # False on the diagonal (g_ii / 0), between zeroed columns.
+                small = np.abs(k) <= _STEP_MAX
+            if (fails & small).any():
+                if not budget:
+                    break
+                budget -= 1
+                quiet = False
+                k[~small] = 0.0
+                np.matmul(_skew_exp(k).T, cur[0], out=nxt[0])
+                cur, nxt = nxt, cur
+            left_out = fails & ~small
+            if left_out.any():
+                meets = np.zeros(seats - 1, dtype=bool)
+                meets[meet[left_out]] = True
+                visit = meets.tolist()
     work[order] = cur[0]
     return converged
 
@@ -749,7 +822,8 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
     path = "rounds" if n >= _ROUND_MIN_COLS else "pairs"
     sweeps = _jacobi_rounds if path == "rounds" else _jacobi_pairs
     if not sweeps(work, swept):
-        ratio = _offdiag_ratios(work[:, :swept]).max(initial=0.0)
+        w = work[:, :swept]
+        ratio = _offdiag_ratios(w @ w.T).max(initial=0.0)
         raise ConvergenceError(
             f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
             f"sweeps ({path} on {'R^T' if on_r else 'A'}; largest "

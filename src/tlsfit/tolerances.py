@@ -30,9 +30,10 @@ EXISTENCE_TOL = 1e-10
 # and 14.52 for it at 1e-15; lib_small and lib_tall gain too.  Sweeps
 # still reach it at m = 20000 (tests/test_memory.py).
 JACOBI_OFFDIAG_TOL = 1e-15
-# On the benchmark's lib corpora (seeds 1-3) an SVD takes at most 7 sweeps
-# on lib_small and lib_tall and at most 9 on lib_wide, counting the pruned
-# sweeps that follow a failed Gram test (at most 10 with a confirming sweep).
+# The budget counts sweeps and product steps alike.  On the benchmark's lib
+# corpora (seeds 1-3) an SVD takes at most 7 on lib_small and lib_tall,
+# and on lib_wide at most 9 below 16 columns and at most 18 from 16 on
+# (up to 13 of them product steps, 6.4 on average).
 JACOBI_MAX_SWEEPS = 60
 
 # Cholesky pivot below CHOLESKY_PD_TOL * max(diag) means "not positive

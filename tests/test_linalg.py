@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from tlsfit import (
 )
 from tlsfit import linalg
 from tlsfit.linalg import (_FLOAT_MAX_PAIRS, _QR_MIN_COLS, _QR_MIN_SIZE,
-                           _ROUND_MIN_COLS, _array_rotations,
-                           _float_rotations, _jacobi_pairs, _jacobi_rounds,
-                           _pinv, _tangent, _thin_svd, _truncate)
+                           _ROUND_MIN_COLS, _STEP_MIN_PAIRS, _array_rotations,
+                           _binary_exponent, _float_rotations, _jacobi_pairs,
+                           _jacobi_rounds, _pinv, _tangent, _thin_svd,
+                           _truncate)
 from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
 from oracles import graded_known_sigma, sym_eigen_closed_form
 
@@ -603,11 +605,44 @@ def test_preconditioned_sweeps_on_steeply_row_graded_input():
                                    rtol=1e-13, atol=0)
 
 
-# Widths 6-13 and 16, both sides of the column cutoff of the rounds, both
-# sides of the largest round whose rotations are taken on floats, and 60.
-@pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16, 60,
+@pytest.mark.parametrize("grading", ["columns", "steep rows"])
+def test_stepped_sweeps_keep_relative_accuracy(grading):
+    """The graded inputs of the two tests above at n = 16-48, where the
+    sweeps end in Gram tests and product steps: three draws swept on A
+    (m n < _QR_MIN_SIZE) and three on R^T.  Columns scaled to 1e-30 keep
+    every sigma to 1e-13 relative of the per-pair sweeps on A and, built
+    by ``graded_known_sigma``, to 1e-14 of the known values; rows graded
+    steeply as above keep them to 1e-13 of the per-pair sweeps."""
+    rng = np.random.default_rng(86 if grading == "columns" else 87)
+    for on_r in (False, True, False, True, False, True):
+        n = int(rng.integers(2 * _STEP_MIN_PAIRS, 49))
+        low, high = ((max(4 * n, -(-_QR_MIN_SIZE // n)), 20 * n) if on_r
+                     else (n, (_QR_MIN_SIZE - 1) // n))
+        m = int(rng.integers(low, high + 1))
+        if grading == "columns":
+            a = rng.standard_normal((m, n)) * np.geomspace(
+                1.0, 1e-30, n)[rng.permutation(n)]
+            known, sigma = graded_known_sigma(rng, m, n)
+            np.testing.assert_allclose(_thin_svd(known)[1], sigma,
+                                       rtol=1e-14, atol=0)
+        else:
+            scale = np.concatenate([np.geomspace(1.0, 1e-30, n),
+                                    np.full(m - n, 1e-33)])
+            a = (rng.standard_normal((m, n))
+                 * scale[:, None])[rng.permutation(m)]
+        np.testing.assert_allclose(_thin_svd(a)[1], _pair_sweep_sigma(a),
+                                   rtol=1e-13, atol=0)
+
+
+# Widths 6-13, 16 and 30-33, both sides of the column cutoff of the
+# rounds, of the smallest rounds followed by product steps and of the
+# largest round whose rotations are taken on floats, and 60.
+@pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16, 30, 31,
+                                      32, 33, 60,
                                       _ROUND_MIN_COLS - 1, _ROUND_MIN_COLS,
                                       _ROUND_MIN_COLS + 1,
+                                      2 * _STEP_MIN_PAIRS - 1,
+                                      2 * _STEP_MIN_PAIRS,
                                       2 * _FLOAT_MAX_PAIRS,
                                       2 * _FLOAT_MAX_PAIRS + 1,
                                       2 * _FLOAT_MAX_PAIRS + 2,
@@ -617,8 +652,8 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
     leave every column pair within JACOBI_OFFDIAG_TOL, accumulate their
     rotations in V, and agree on sigma to 1e-14 relative.  The widths
     around 2 _FLOAT_MAX_PAIRS take the rounds' rotations on floats
-    (up to _FLOAT_MAX_PAIRS pairs a round) and on arrays (one more); at
-    width 60 the sweeps on arrays stop on the Gram test and prune.
+    (up to _FLOAT_MAX_PAIRS pairs a round) and on arrays (one more); from
+    2 _STEP_MIN_PAIRS on the sweeps end in Gram tests and product steps.
 
     A pair's inner product is known only up to the rounding bound of a
     computed dot product, m u sum_k |w_ki w_kj|; the check allows that
@@ -643,7 +678,7 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
         np.testing.assert_allclose(sigmas[1], sigmas[0], rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("n", [6, 2 * _FLOAT_MAX_PAIRS + 2])
+@pytest.mark.parametrize("n", sorted({6, 2 * _FLOAT_MAX_PAIRS + 2, 32}))
 def test_float_and_array_rotations_agree(n):
     """One round's rotations taken pair by pair on floats (math.hypot) and
     on arrays (np.hypot) agree to a few ulps, on a round with a flushed
@@ -669,6 +704,97 @@ def test_float_and_array_rotations_agree(n):
         np.testing.assert_array_equal(rot[[0, 2]], [np.eye(2)] * 2)
     assert abs(floats[1, 1, 0]) > 0.4  # parallel columns: |t| >= 1/2
     assert np.all(np.abs(arrays - floats) <= 4 * np.spacing(np.abs(floats)))
+
+
+def _tied_cloud(seed, m, n):
+    """The tied cloud of the lib_wide benchmark (``_cloud`` of
+    perfbench/corpus.py with ``tied``: two principal spreads exactly
+    equal), scaled and centred as ``fit_hyperplane_tls`` centres it."""
+    rng = np.random.default_rng(seed)
+    spread = np.geomspace(3.0, 0.3, n) * rng.uniform(0.9, 1.1, n)
+    spread[-1] = spread[-2]
+    basis = np.column_stack([np.ones(m), rng.standard_normal((m, n))])
+    core = np.linalg.qr(basis)[0][:, 1:] * np.sqrt(m)
+    offset = rng.uniform(-10.0, 10.0, n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    cloud = offset + (core * spread) @ (q * np.sign(np.diag(r)))
+    a = np.ldexp(cloud, -_binary_exponent(cloud))
+    return a - np.add.reduce(a, axis=0) / m
+
+
+@pytest.mark.parametrize("seed, shape", [(8, (400, 30)), (93, (100, 20))])
+def test_quiet_pruned_sweep_ends_only_on_the_pairs_it_visited(seed, shape):
+    """A pruned sweep that rotates nothing after a product step ends the
+    sweeps only if the Gram test then flags no pair outside the rounds it
+    visited.  On the rng(93) 100 x 20 tied cloud, ending on the quiet
+    sweep alone left a pair 7 times beyond the bound below.  Swept on A,
+    every pair meets the criterion up to the rounding bound of its
+    computed inner product (as in the per-pair comparison above), and the
+    V of the solvers' path is orthogonal to 1e-14."""
+    m, n = shape
+    a = _tied_cloud(seed, m, n)
+    work = np.hstack([a.T, np.eye(n)])
+    assert _jacobi_rounds(work, m)
+    w = work[:, :m].T
+    norms = np.linalg.norm(w, axis=0)
+    bound = (JACOBI_OFFDIAG_TOL * np.outer(norms, norms)
+             + m * np.finfo(float).eps * (np.abs(w).T @ np.abs(w)))
+    off = ~np.eye(n, dtype=bool)
+    assert np.all(np.abs(w.T @ w)[off] <= bound[off])
+    v = _thin_svd(a, False)[2]
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-14
+
+
+def test_exactly_tied_pairs_leave_product_steps_for_rounds(monkeypatch):
+    """A = Q diag(s) P^T, 100 x 40, whose singular values come in 20
+    exactly tied pairs.  A tied pair's first-order step |K_ij| exceeds
+    1/2, so the product steps leave those pairs to pruned sweeps, which
+    take them with exact rotations; sigma comes out within 1e-14 relative
+    of s, and U and V orthogonal to 1e-13."""
+    events = []
+    make_rotations, skew_exp = linalg._array_rotations, linalg._skew_exp
+
+    def counted(h):
+        rotations = make_rotations(h)
+
+        def count(w_pairs, rot):
+            events.append("round")
+            return rotations(w_pairs, rot)
+        return count
+
+    def step(k):
+        events.append("step")
+        return skew_exp(k)
+
+    monkeypatch.setattr(linalg, "_array_rotations", counted)
+    monkeypatch.setattr(linalg, "_skew_exp", step)
+    rng = np.random.default_rng(96)
+    m, n = 100, 40
+    assert m * n < _QR_MIN_SIZE
+    q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    p = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sigma = np.repeat(np.geomspace(2.0, 0.5, n // 2), 2)
+    u, s, v = _thin_svd((q * sigma) @ p.T)
+    assert "round" in events[events.index("step"):]
+    np.testing.assert_allclose(s, sigma, rtol=1e-14, atol=0)
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=lapack_cases(min_cols=16, max_cols=64, min_ratio=1, max_ratio=4),
+       k=st.integers(-500, 500), with_u=st.booleans())
+def test_property_stepped_sweeps_match_lapack_at_any_scale(a, k, with_u):
+    """Widths 16-64, where the sweeps end in product steps, scaled by
+    2^k with |k| <= 500: sigma 2^-k within 1e-13 sigma_1 of LAPACK's
+    sigma of the unscaled matrix, V orthogonal to 1e-13, and no
+    RuntimeWarning from K's divisions or from exp(K)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, s, v = _thin_svd(np.ldexp(a, k), with_u)
+    s_ref = np.linalg.svd(a, compute_uv=False)
+    assert np.all(np.abs(np.ldexp(s, -k) - s_ref) <= 1e-13 * s_ref[0])
+    assert np.linalg.norm(v.T @ v - np.eye(a.shape[1])) <= 1e-13
 
 
 def test_concurrent_wide_sweeps_match_serial_runs():
@@ -718,8 +844,8 @@ SWEEP_PATHS = {
     (60, 30): ("rounds on A", 1, None), (20, 4): ("rounds on A", 1, None),
     (1000, 10): ("rounds on R^T", 1, None),
     (200, 40): ("rounds on R^T", 1, None), (20, 3): ("pairs on A", 1, None),
-    (100, 40): ("rounds on A", 2, _three_coupled_columns),
-    (250, 60): ("rounds on R^T", 9, None)}
+    (100, 40): ("rounds on A", 3, _three_coupled_columns),
+    (250, 60): ("rounds on R^T", 12, None)}
 
 
 @pytest.mark.parametrize("shape", list(SWEEP_PATHS))
@@ -727,12 +853,13 @@ def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     """One sweep cannot confirm a Gaussian matrix, on any path: 60 x 30
     and 20 x 4 sweep A in rounds, 1000 x 10 and 200 x 40 sweep R^T in
     rounds, and 20 x 3 sweeps A pair by pair.  On 100 x 40 with three
-    coupled columns the budget of two sweeps runs out in a pruned one: the
-    Gram test after the first sweep leaves the second only the rounds in
-    which those columns meet.  On 250 x 60 nine sweeps stop just above the
-    rounding floor: the ratio must print above the tolerance too.  The
-    error names the path and the largest off-diagonal ratio left, next to
-    the tolerance."""
+    coupled columns the budget of three runs out in a pruned sweep: after
+    the first sweep the Gram test takes one product step and leaves the
+    pair that the step cannot take to a second sweep of only the rounds
+    in which it meets.  On 250 x 60 five sweeps and seven steps stop one
+    step short of convergence, at a ratio of 1.3e-13: the ratio must print
+    above the tolerance too.  The error names the path and the largest
+    off-diagonal ratio left, next to the tolerance."""
     path, budget, make = SWEEP_PATHS[shape]
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", budget)
     rounds = []  # one entry per round evaluated on arrays
