@@ -20,6 +20,8 @@ __all__ = [
     "sym_eigen_closed_form",
     "perturbation_probe",
     "graded_known_sigma",
+    "steep_rows",
+    "tied_known_sigma",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -144,6 +146,25 @@ def graded_known_sigma(rng: np.random.Generator, m: int, n: int,
     q, _ = np.linalg.qr(rng.standard_normal((m, n)))
     d = np.geomspace(1.0, smallest, n)
     return q * d[rng.permutation(n)], d
+
+
+def steep_rows(rng: np.random.Generator, m: int, n: int):
+    """An m x n Gaussian matrix whose rows are graded steeply: the first n
+    geometrically from 1 to 1e-30, all others at 1e-33, then shuffled."""
+    scale = np.concatenate([np.geomspace(1.0, 1e-30, n),
+                            np.full(m - n, 1e-33)])
+    return (rng.standard_normal((m, n)) * scale[:, None])[rng.permutation(m)]
+
+
+def tied_known_sigma(rng: np.random.Generator, m: int, n: int):
+    """An m x n matrix A = Q diag(s) P^T whose singular values come in
+    exactly tied pairs, geometrically from 2 down to 1/2 (odd n ends in one
+    untied value); Q and P are the orthonormal factors of LAPACK's QR of
+    Gaussian matrices.  Returns (A, s) with s descending."""
+    q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    p = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    sigma = np.repeat(np.geomspace(2.0, 0.5, (n + 1) // 2), 2)[:n]
+    return (q * sigma) @ p.T, sigma
 
 
 def perturbation_probe(

@@ -33,7 +33,8 @@ from tlsfit.linalg import (_FLOAT_MAX_PAIRS, _QR_MIN_COLS, _QR_MIN_SIZE,
                            _jacobi_rounds, _pinv, _tangent, _thin_svd,
                            _truncate)
 from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
-from oracles import graded_known_sigma, sym_eigen_closed_form
+from oracles import (graded_known_sigma, steep_rows, sym_eigen_closed_form,
+                     tied_known_sigma)
 
 SQUARE_CORNERS = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
 # Augmented matrix whose null right-singular direction is the middle
@@ -598,9 +599,7 @@ def test_preconditioned_sweeps_on_steeply_row_graded_input():
     about 1e-12 here, and without the row sort it is off by 1e12."""
     rng = np.random.default_rng(83)
     for m, n in _graded_shapes(rng):
-        scale = np.concatenate([np.geomspace(1.0, 1e-30, n),
-                                np.full(m - n, 1e-33)])
-        a = (rng.standard_normal((m, n)) * scale[:, None])[rng.permutation(m)]
+        a = steep_rows(rng, m, n)
         np.testing.assert_allclose(_thin_svd(a)[1], _pair_sweep_sigma(a),
                                    rtol=1e-13, atol=0)
 
@@ -626,10 +625,7 @@ def test_stepped_sweeps_keep_relative_accuracy(grading):
             np.testing.assert_allclose(_thin_svd(known)[1], sigma,
                                        rtol=1e-14, atol=0)
         else:
-            scale = np.concatenate([np.geomspace(1.0, 1e-30, n),
-                                    np.full(m - n, 1e-33)])
-            a = (rng.standard_normal((m, n))
-                 * scale[:, None])[rng.permutation(m)]
+            a = steep_rows(rng, m, n)
         np.testing.assert_allclose(_thin_svd(a)[1], _pair_sweep_sigma(a),
                                    rtol=1e-13, atol=0)
 
@@ -771,10 +767,8 @@ def test_exactly_tied_pairs_leave_product_steps_for_rounds(monkeypatch):
     rng = np.random.default_rng(96)
     m, n = 100, 40
     assert m * n < _QR_MIN_SIZE
-    q = np.linalg.qr(rng.standard_normal((m, n)))[0]
-    p = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    sigma = np.repeat(np.geomspace(2.0, 0.5, n // 2), 2)
-    u, s, v = _thin_svd((q * sigma) @ p.T)
+    a, sigma = tied_known_sigma(rng, m, n)
+    u, s, v = _thin_svd(a)
     assert "round" in events[events.index("step"):]
     np.testing.assert_allclose(s, sigma, rtol=1e-14, atol=0)
     assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-13

@@ -19,6 +19,10 @@ a NoTlsSolutionError), plus any warning: floats as ``float.hex``, arrays
 as shape, dtype, memory order and the hex of their bytes.  ``cli.main``
 runs in process on the CLI corpus, seeds 1-5, with ``--format json`` and
 ``--format text``; a line holds its exit code, stdout and stderr.
+
+A last, "hard" section gives fixed inputs (``hard_corpus``, with the
+generators of ``tests/oracles.py``) to the public kernels ``jacobi_svd``
+and ``householder_qr``, one line each, holding their square factors.
 """
 from __future__ import annotations
 
@@ -65,6 +69,51 @@ def encode(value) -> str:
     raise TypeError(f"no exact form for {type(value).__name__}")
 
 
+def hard_corpus(oracles):
+    """(label, array) of every input of the hard section, each drawn from
+    a generator seeded for it alone.
+
+    Gaussian inputs (column scales over one decade) at widths on both sides
+    of the kernel's cutoffs, as they stand: 3-5 around the round-robin
+    cutoff (4 columns), 14-17 around the first rounds followed by product
+    steps (16 columns, 8 pairs), 26-29 around the largest rounds whose
+    rotations are taken on floats (26 columns, 13 pairs), 6 and 7 columns
+    at m n >= 5000 around the preconditioner's column cutoff, and 50 and 51
+    columns just below and above its 5000 entries.  Then, at 5, 12 and 30
+    columns swept on A and at 170 x 30 on R^T: columns graded to 1e-30
+    (random and with known singular values), steeply graded rows, data
+    scaled by 2^1000 and by 2^-1000, subnormal data, a zero column and a
+    duplicated column.  Last, exactly tied singular values at 100 x 40,
+    100 x 41 (a bye seat) and 170 x 30 (on R^T).
+    """
+    def gaussian(seed, m, n):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, n)) * rng.uniform(0.5, 5.0, n)
+
+    for n in (3, 4, 5, 14, 15, 16, 17, 26, 27, 28, 29):
+        yield "gaussian", gaussian(n, 3 * n, n)
+    for m, n in ((834, 6), (715, 7), (99, 50), (100, 50), (98, 51), (99, 51)):
+        yield "gaussian", gaussian(m + n, m, n)
+    for m, n in ((15, 5), (36, 12), (90, 30), (170, 30)):
+        rng = np.random.default_rng(1000 + m + n)
+        yield "graded columns", rng.standard_normal((m, n)) * np.geomspace(
+            1.0, 1e-30, n)[rng.permutation(n)]
+        yield "known graded columns", oracles.graded_known_sigma(rng, m, n)[0]
+        yield "steep rows", oracles.steep_rows(rng, m, n)
+        a = gaussian(2000 + m + n, m, n)
+        yield "scaled 2^1000", np.ldexp(a, 1000)
+        yield "scaled 2^-1000", np.ldexp(a, -1000)
+        yield "subnormal", np.ldexp(a, -1060)
+        zero, duplicated = a.copy(), a.copy()
+        zero[:, 1] = 0.0
+        duplicated[:, -1] = duplicated[:, 0]
+        yield "zero column", zero
+        yield "duplicated column", duplicated
+    for seed, (m, n) in ((96, (100, 40)), (97, (100, 41)), (98, (170, 30))):
+        yield "tied", oracles.tied_known_sigma(np.random.default_rng(seed),
+                                               m, n)[0]
+
+
 def _recorded(call):
     """encode(call()), or of the exception it raised, then its warnings."""
     with warnings.catch_warnings(record=True) as caught:
@@ -91,8 +140,10 @@ def _cli_run(cli, argv):
 def main() -> int:
     # Without bytecode, importing leaves no __pycache__ under perfbench/.
     sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
+                    str(ROOT / "tests")]
     import corpus
+    import oracles
     import tlsfit as tl
     from tlsfit import cli
     from worker import lib_call
@@ -122,6 +173,10 @@ def main() -> int:
                               f"{result}\n")
         finally:
             os.chdir(home)
+    for i, (label, a) in enumerate(hard_corpus(oracles)):
+        for kernel in (tl.jacobi_svd, tl.householder_qr):
+            write(f"hard #{i} {label} {a.shape} {kernel.__name__} "
+                  f"{_recorded(lambda: kernel(tl.Matrix(a)))}\n")
     return 0
 
 
