@@ -23,8 +23,8 @@ compute the rotation as t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
 Rounds of many pairs follow each sweep with product steps instead of
 more sweeps: one Gram product gives every pair's first-order rotation
 at once, and one orthogonal J = exp(K) of them moves the whole work
-block (Ogita & Aishima); a pruned sweep revisits only the rounds of the
-pairs a step cannot take.
+block (Ogita & Aishima); the pairs a step cannot take are rotated one
+at a time where they sit.
 
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
@@ -420,7 +420,7 @@ def _tangent(alpha: float, beta: float, gamma: float) -> float:
     t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)) with d = beta - alpha is
     the smaller root of t^2 + 2 zeta t - 1 = 0, zeta = d / (2 gamma), that
     is sign(zeta) / (|zeta| + sqrt(1 + zeta^2)) (Rutishauser), without
-    forming zeta: |t| <= 1 and hypot does not overflow.  ``_jacobi_pairs``
+    forming zeta: |t| <= 1 and hypot does not overflow.  ``_rotate_pairs``
     and the rounds of at most _FLOAT_MAX_PAIRS pairs call it pair by pair;
     larger rounds compute the same expression on arrays.
     """
@@ -428,48 +428,57 @@ def _tangent(alpha: float, beta: float, gamma: float) -> float:
     return 2.0 * gamma / (d + math.copysign(math.hypot(d, 2.0 * gamma), d))
 
 
+def _rotate_pairs(views) -> bool:
+    """One pass over the pairs of ``views``, one pair at a time in the order
+    given, each pair's inner products and rotation one matrix product
+    apiece; returns whether a pair rotated.
+
+    A view is (pair, w_pair): two rows of ``work`` and their columns of W.
+    A column with squared norm at most _FLUSH2 is set to zero."""
+    rot = np.empty((2, 2))
+    rotated = False
+    for pair, w_pair in views:
+        (alpha, gamma), (_, beta) = (w_pair @ w_pair.T).tolist()
+        if alpha <= _FLUSH2 or beta <= _FLUSH2:
+            # gamma of a flushed column is 0: the pair stays as is.
+            if alpha <= _FLUSH2:
+                w_pair[0] = 0.0
+            if beta <= _FLUSH2:
+                w_pair[1] = 0.0
+            continue
+        # sqrt(a)*sqrt(b), not sqrt(a*b): the product can underflow.
+        bound = JACOBI_OFFDIAG_TOL * math.sqrt(alpha) * math.sqrt(beta)
+        if abs(gamma) <= bound:
+            continue
+        rotated = True
+        t = _tangent(alpha, beta, gamma)
+        c = 1.0 / math.hypot(1.0, t)
+        s = c * t
+        rot[0, 0] = rot[1, 1] = c
+        rot[0, 1], rot[1, 0] = -s, s
+        pair[...] = rot @ pair
+    return rotated
+
+
 def _jacobi_pairs(work: np.ndarray, m: int) -> bool:
-    """Cyclic sweeps: the pairs (i, j), i < j, one at a time in row order,
-    each pair's inner products and rotation one matrix product apiece.
-    Row k of ``work`` is column k of W in its first m entries and, in the
-    rest, column k of a matrix that takes the same rotations, as for
-    ``_jacobi_rounds``.  Returns whether a sweep within the budget
+    """Cyclic sweeps: ``_rotate_pairs`` over the pairs (i, j), i < j, in
+    row order.  Row k of ``work`` is column k of W in its first m entries
+    and, in the rest, column k of a matrix that takes the same rotations,
+    as for ``_jacobi_rounds``.  Returns whether a sweep within the budget
     confirmed every pair."""
     n = work.shape[0]
-    rot = np.empty((2, 2))
     # Rows i and j of every pair, and their columns of W, viewed once.
     views = [(pair, pair[:, :m]) for pair in (
         work[i:j + 1:j - i] for i in range(n - 1) for j in range(i + 1, n))]
     for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for pair, w_pair in views:
-            (alpha, gamma), (_, beta) = (w_pair @ w_pair.T).tolist()
-            if alpha <= _FLUSH2 or beta <= _FLUSH2:
-                # gamma of a flushed column is 0: the pair stays as is.
-                if alpha <= _FLUSH2:
-                    w_pair[0] = 0.0
-                if beta <= _FLUSH2:
-                    w_pair[1] = 0.0
-                continue
-            # sqrt(a)*sqrt(b), not sqrt(a*b): the product can underflow.
-            bound = JACOBI_OFFDIAG_TOL * math.sqrt(alpha) * math.sqrt(beta)
-            if abs(gamma) <= bound:
-                continue
-            rotated = True
-            t = _tangent(alpha, beta, gamma)
-            c = 1.0 / math.hypot(1.0, t)
-            s = c * t
-            rot[0, 0] = rot[1, 1] = c
-            rot[0, 1], rot[1, 0] = -s, s
-            pair[...] = rot @ pair
-        if not rotated:
+        if not _rotate_pairs(views):
             return True
     return False
 
 
 @functools.cache
 def _round_robin(n: int):
-    """(order, shift, meet): the tables of round-robin sweeps on n columns,
+    """(order, shift): the tables of round-robin sweeps on n columns,
     computed once per width from ring positions and read-only.
 
     Rows 2k and 2k+1 of a round hold the positions k and M-k of s = n + n % 2
@@ -479,10 +488,7 @@ def _round_robin(n: int):
     of every sweep.  Position 0 stays and positions 1..M move on by one a
     round, so row i of the next round is row ``shift[i]`` of this one; after
     M rounds every column has met every other once and the rows are back in
-    their first order.  Positions p, q >= 1 meet in the round r with
-    2r + p + q = 0 (mod M), and p meets 0 in the round -p (mod M):
-    ``meet[i, j]`` is that round for rows i and j of ``work[order]``, 0 on
-    the diagonal.
+    their first order.
     """
     bye = n % 2
     ring = n + bye - 1
@@ -491,16 +497,10 @@ def _round_robin(n: int):
     pos[1::2] = ring - pos[0::2]
     came_from = np.where(pos > 0, (pos - 2) % ring + 1, 0)
     shift = np.argsort(pos)[came_from][bye:] - bye
-    p = pos[bye:, None]
-    q = p.T
-    # (ring + 1) // 2 is the inverse of 2 modulo the odd ring.
-    meet = np.where((p > 0) & (q > 0), -(p + q) * ((ring + 1) // 2),
-                    -(p + q)) % ring
-    np.fill_diagonal(meet, 0)
     order = pos[bye:] - bye
-    for table in (order, shift, meet):
+    for table in (order, shift):
         table.flags.writeable = False
-    return order, shift, meet
+    return order, shift
 
 
 def _float_rotations(gram: list, w_pairs: np.ndarray,
@@ -645,34 +645,30 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     most _FLOAT_MAX_PAIRS pairs takes its Gram matrices in one
     ``np.vecdot`` call and its rotations from ``_float_rotations``, a
     larger one from the function that ``_array_rotations`` makes once per
-    call.  Needs n >= 3.
+    call.  Needs n >= 3.  The sweeps stop after a sweep that rotates
+    nothing.
 
-    Rounds of fewer than _STEP_MIN_PAIRS pairs stop after a sweep that
-    rotates nothing.  Larger ones do not spend sweeps on the last digits:
-    after each sweep, one Gram product G = W W^T of the swept columns
-    tests every pair of live columns (squared norms above _FLUSH2; the
-    others are zeroed as a sweep zeroes them).  The sweeps stop when no
-    pair fails.  Otherwise K_ij = g_ij / (g_jj - g_ii) is the skew
-    first-order rotation that makes every pair orthogonal at once (Ogita
-    & Aishima), and one product with J = ``_skew_exp(K)`` moves the whole
-    of ``work``, W and the columns that follow it: a product step.  The
-    first order is no guide while some pair is far from orthogonal, or
-    for a pair with near-tied norms: K is taken only while every ratio
-    is at most _STEP_MAX, and without the entries |K_ij| > _STEP_MAX.
-    A failing pair left out goes to the next sweep, which evaluates only
-    the rounds in which such a pair meets (``meet`` of ``_round_robin``)
-    and only moves the other rounds' rows on; with none left out, the
-    Gram test comes again.  Steps and pruned sweeps count toward the
-    budget.  A pruned sweep that rotates nothing ends the sweeps only if
-    the Gram test then flags no pair outside the rounds it visited: a
-    pair that the Gram product flags at the rounding level and its own
-    round does not.
+    Rounds of at least _STEP_MIN_PAIRS pairs do not spend sweeps on the
+    last digits: after each sweep, one Gram product G = W W^T of the swept
+    columns tests every pair of live columns (squared norms above
+    _FLUSH2; the others are zeroed as a sweep zeroes them).  The sweeps
+    stop when no pair fails.  Otherwise K_ij = g_ij / (g_jj - g_ii) is the
+    skew first-order rotation that makes every pair orthogonal at once
+    (Ogita & Aishima), and one product with J = ``_skew_exp(K)`` moves the
+    whole of ``work``, W and the columns that follow it: a product step.
+    The first order is no guide while some pair is far from orthogonal,
+    or for a pair with near-tied norms: while some ratio exceeds
+    _STEP_MAX, a full sweep comes next; otherwise K leaves out the entries
+    |K_ij| > _STEP_MAX, and ``_rotate_pairs`` then takes the failing pairs
+    left out where they sit, in row order.  The Gram test comes again,
+    unless that pass rotated nothing and no step was taken.  A step with
+    its pass, or a pass alone, counts toward the budget as a sweep does.
     """
     n, width = work.shape
     seats = n + n % 2
     bye = n % 2
     h = seats // 2 - bye
-    order, shift, meet = _round_robin(n)
+    order, shift = _round_robin(n)
     # Two buffers, each with its views: all rows, the pairs, the pairs'
     # columns of W, and those set up to broadcast to 2 x 2 Gram matrices.
     buffers = []
@@ -685,19 +681,16 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     few = h <= _FLOAT_MAX_PAIRS
     rot = np.empty((h, 2, 2))
     rotations = None if few else _array_rotations(h)
-    visit = [True] * (seats - 1)  # the rounds the next sweep evaluates
     budget = JACOBI_MAX_SWEEPS
     converged = False
     while budget and not converged:
         budget -= 1
-        rotated = 0
-        for r in range(seats - 1):
+        rotated = False
+        for _ in range(seats - 1):
             rows, pairs, w_pairs, left, right = cur
-            moved = visit[r] and (
-                _float_rotations(np.vecdot(left, right).tolist(), w_pairs, rot)
-                if few else rotations(w_pairs, rot))
-            if moved:
-                rotated += moved
+            if (_float_rotations(np.vecdot(left, right).tolist(), w_pairs, rot)
+                    if few else rotations(w_pairs, rot)):
+                rotated = True
                 np.matmul(rot, pairs, out=nxt[1])
                 if bye:
                     nxt[0][0] = rows[0]
@@ -706,42 +699,33 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             # ``out``; every index of ``shift`` is in range.
             cur[0].take(shift, 0, nxt[0], "clip")
             cur, nxt = nxt, cur
-        if h < _STEP_MIN_PAIRS:
-            converged = not rotated
-            continue
-        visited = np.array(visit)
-        quiet = not rotated
-        visit = None
-        while visit is None:  # Gram tests and product steps
+        converged = not rotated
+        # Gram tests, product steps and passes over the pairs left out.
+        while budget and not converged and h >= _STEP_MIN_PAIRS:
             w = cur[0][:, :m]
             w[np.vecdot(w, w) <= _FLUSH2] = 0.0
             gram = w @ w.T
             ratio = _offdiag_ratios(gram)
             fails = ratio > JACOBI_OFFDIAG_TOL
-            if not fails.any() or quiet and visited[meet[fails]].all():
-                converged = True
+            converged = not fails.any()
+            if converged or ratio.max() > _STEP_MAX:
                 break
-            if ratio.max() > _STEP_MAX:
-                small = np.zeros_like(fails)
-            else:
-                diag = gram.diagonal()
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    k = gram / (diag - diag[:, None])
-                # False on the diagonal (g_ii / 0), between zeroed columns.
-                small = np.abs(k) <= _STEP_MAX
-            if (fails & small).any():
-                if not budget:
-                    break
-                budget -= 1
-                quiet = False
+            diag = gram.diagonal()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = gram / (diag - diag[:, None])
+            # False on the diagonal (g_ii / 0), between zeroed columns.
+            small = np.abs(k) <= _STEP_MAX
+            budget -= 1
+            stepped = (fails & small).any()
+            if stepped:
                 k[~small] = 0.0
                 np.matmul(_skew_exp(k).T, cur[0], out=nxt[0])
                 cur, nxt = nxt, cur
-            left_out = fails & ~small
-            if left_out.any():
-                meets = np.zeros(seats - 1, dtype=bool)
-                meets[meet[left_out]] = True
-                visit = meets.tolist()
+            rows = cur[0]
+            views = [(pair, pair[:, :m]) for pair in (
+                rows[i:j + 1:j - i] for i, j in
+                np.argwhere(np.triu(fails & ~small)).tolist())]
+            converged = not (_rotate_pairs(views) or stepped)
     work[order] = cur[0]
     return converged
 
@@ -789,9 +773,9 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
     2008) do: rows sorted, it is factored A P = Q R by the pivoted QR, and
     the sweeps run on X = R^T.  X J = W with orthogonal columns gives
     V = P W / sigma and, only when asked for, U = Q [J; 0].  Smaller
-    inputs are swept as they are.  Sweeps that exhaust JACOBI_MAX_SWEEPS
-    raise a ConvergenceError naming the path and the swept matrix, with
-    the largest off-diagonal ratio left in W.
+    inputs are swept as they are.  Sweeps and product steps that exhaust
+    JACOBI_MAX_SWEEPS raise a ConvergenceError naming the path and the
+    swept matrix, with the largest off-diagonal ratio left in W.
     """
     m, n = a.shape
     on_r = n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
@@ -826,9 +810,9 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
         ratio = _offdiag_ratios(w @ w.T).max(initial=0.0)
         raise ConvergenceError(
             f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
-            f"sweeps ({path} on {'R^T' if on_r else 'A'}; largest "
-            f"off-diagonal ratio {ratio:.17g} vs JACOBI_OFFDIAG_TOL "
-            f"{JACOBI_OFFDIAG_TOL:g})")
+            f"sweeps and product steps ({path} on "
+            f"{'R^T' if on_r else 'A'}; largest off-diagonal ratio "
+            f"{ratio:.17g} vs JACOBI_OFFDIAG_TOL {JACOBI_OFFDIAG_TOL:g})")
     w = work[:, :swept]
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     # Columns of W over sigma; a zero column stays zero.

@@ -30,10 +30,11 @@ EXISTENCE_TOL = 1e-10
 # and 14.52 for it at 1e-15; lib_small and lib_tall gain too.  Sweeps
 # still reach it at m = 20000 (tests/test_memory.py).
 JACOBI_OFFDIAG_TOL = 1e-15
-# The budget counts sweeps and product steps alike.  On the benchmark's lib
-# corpora (seeds 1-3) an SVD takes at most 7 on lib_small and lib_tall,
-# and on lib_wide at most 9 below 16 columns and at most 18 from 16 on
-# (up to 13 of them product steps, 6.4 on average).
+# The budget counts sweeps, and product steps with their passes over the
+# pairs a step leaves out, alike.  On the benchmark's lib corpora (seeds
+# 1-3) an SVD takes at most 7 on lib_small and lib_tall, and on lib_wide
+# at most 9 below 16 columns and at most 14 from 16 on (up to 13 of them
+# product steps, 6.6 on average).
 JACOBI_MAX_SWEEPS = 60
 
 # Cholesky pivot below CHOLESKY_PD_TOL * max(diag) means "not positive

@@ -483,25 +483,19 @@ def test_round_robin_tables_are_cached_read_only():
 def test_round_robin_meetings_follow_a_simulated_sweep():
     """For every width 4-64, and 97, 128 and 129, stepping ``order``
     through ``shift`` round by round seats every pair of columns together
-    in exactly one round of a sweep and ends back in the first order;
-    ``meet`` names that round for the two rows of ``work[order]`` that
-    hold the pair, and is 0 on the diagonal."""
+    in exactly one round of a sweep and ends back in the first order."""
     for n in [*range(4, 65), 97, 128, 129]:
-        order, shift, meet = linalg._round_robin(n)
+        order, shift = linalg._round_robin(n)
         bye = n % 2
-        row_of = np.argsort(order)  # the row of work[order] with column c
         met = set()
         cols = order
-        for r in range(n - 1 + bye):
+        for _ in range(n - 1 + bye):
             for c, d in zip(cols[bye::2].tolist(), cols[bye + 1::2].tolist()):
                 assert (c, d) not in met and (d, c) not in met
                 met.add((c, d))
-                assert meet[row_of[c], row_of[d]] == r
-                assert meet[row_of[d], row_of[c]] == r
             cols = cols[shift]
         assert len(met) == n * (n - 1) // 2
         assert np.array_equal(cols, order)
-        assert not meet.diagonal().any()
 
 
 def test_tangent_matches_the_zeta_form():
@@ -720,11 +714,12 @@ def _tied_cloud(seed, m, n):
 
 @pytest.mark.parametrize("seed, shape", [(8, (400, 30)), (93, (100, 20))])
 def test_quiet_pruned_sweep_ends_only_on_the_pairs_it_visited(seed, shape):
-    """A pruned sweep that rotates nothing after a product step ends the
-    sweeps only if the Gram test then flags no pair outside the rounds it
-    visited.  On the rng(93) 100 x 20 tied cloud, ending on the quiet
-    sweep alone left a pair 7 times beyond the bound below.  Swept on A,
-    every pair meets the criterion up to the rounding bound of its
+    """Tied clouds, where product steps leave pairs with near-tied norms
+    to a pass of their own, end with every pair confirmed.  On the
+    rng(93) 100 x 20 cloud, an earlier rule that ended the sweeps on a
+    pass of only the rounds in which such pairs meet, once that pass
+    rotated nothing, left a pair 7 times beyond the bound below.  Swept
+    on A, every pair meets the criterion up to the rounding bound of its
     computed inner product (as in the per-pair comparison above), and the
     V of the solvers' path is orthogonal to 1e-14."""
     m, n = shape
@@ -741,38 +736,62 @@ def test_quiet_pruned_sweep_ends_only_on_the_pairs_it_visited(seed, shape):
     assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-14
 
 
-def test_exactly_tied_pairs_leave_product_steps_for_rounds(monkeypatch):
-    """A = Q diag(s) P^T, 100 x 40, whose singular values come in 20
-    exactly tied pairs.  A tied pair's first-order step |K_ij| exceeds
-    1/2, so the product steps leave those pairs to pruned sweeps, which
-    take them with exact rotations; sigma comes out within 1e-14 relative
-    of s, and U and V orthogonal to 1e-13."""
+def _count_steps_and_passes(monkeypatch):
+    """A list that gets "step" for each product step and "pass" for each
+    ``_rotate_pairs`` pass over at least one pair."""
     events = []
-    make_rotations, skew_exp = linalg._array_rotations, linalg._skew_exp
+    rotate_pairs, skew_exp = linalg._rotate_pairs, linalg._skew_exp
 
-    def counted(h):
-        rotations = make_rotations(h)
-
-        def count(w_pairs, rot):
-            events.append("round")
-            return rotations(w_pairs, rot)
-        return count
+    def rotate(views):
+        if views:
+            events.append("pass")
+        return rotate_pairs(views)
 
     def step(k):
         events.append("step")
         return skew_exp(k)
 
-    monkeypatch.setattr(linalg, "_array_rotations", counted)
+    monkeypatch.setattr(linalg, "_rotate_pairs", rotate)
     monkeypatch.setattr(linalg, "_skew_exp", step)
-    rng = np.random.default_rng(96)
-    m, n = 100, 40
-    assert m * n < _QR_MIN_SIZE
-    a, sigma = tied_known_sigma(rng, m, n)
+    return events
+
+
+def _check_tied_sweeps(a, sigma, events):
+    """sigma within 1e-14 relative of the known values, U and V orthogonal
+    to 1e-13, and a pass over the pairs left out after a product step."""
     u, s, v = _thin_svd(a)
-    assert "round" in events[events.index("step"):]
+    assert "pass" in events[events.index("step"):]
     np.testing.assert_allclose(s, sigma, rtol=1e-14, atol=0)
+    n = a.shape[1]
     assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-13
     assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-13
+
+
+def test_exactly_tied_pairs_leave_product_steps_for_rounds(monkeypatch):
+    """A = Q diag(s) P^T, 100 x 40, whose singular values come in 20
+    exactly tied pairs.  A tied pair's first-order step |K_ij| exceeds
+    1/2, so the product steps leave those pairs to a pass that rotates
+    them where they sit, with exact rotations; sigma comes out within
+    1e-14 relative of s, and U and V orthogonal to 1e-13."""
+    events = _count_steps_and_passes(monkeypatch)
+    m, n = 100, 40
+    assert m * n < _QR_MIN_SIZE
+    _check_tied_sweeps(*tied_known_sigma(np.random.default_rng(96), m, n),
+                       events)
+
+
+@pytest.mark.parametrize("seed, shape", [(97, (100, 41)), (98, (170, 30))])
+def test_tied_pairs_left_out_on_a_bye_seat_and_on_r(seed, shape, monkeypatch):
+    """The exactly tied input of the test above at an odd width, 100 x 41,
+    where one seat of every round is the bye, and at 170 x 30, swept on
+    R^T of the pivoted QR: the pairs a product step leaves out are rotated
+    by a pass, to the same bounds."""
+    events = _count_steps_and_passes(monkeypatch)
+    m, n = shape
+    # Either the odd width swept on A or the even one swept on R^T.
+    assert (n % 2 == 1) != (n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE)
+    _check_tied_sweeps(*tied_known_sigma(np.random.default_rng(seed), m, n),
+                       events)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -839,7 +858,7 @@ SWEEP_PATHS = {
     (1000, 10): ("rounds on R^T", 1, None),
     (200, 40): ("rounds on R^T", 1, None), (20, 3): ("pairs on A", 1, None),
     (100, 40): ("rounds on A", 3, _three_coupled_columns),
-    (250, 60): ("rounds on R^T", 12, None)}
+    (250, 60): ("rounds on R^T", 13, None)}
 
 
 @pytest.mark.parametrize("shape", list(SWEEP_PATHS))
@@ -847,12 +866,12 @@ def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     """One sweep cannot confirm a Gaussian matrix, on any path: 60 x 30
     and 20 x 4 sweep A in rounds, 1000 x 10 and 200 x 40 sweep R^T in
     rounds, and 20 x 3 sweeps A pair by pair.  On 100 x 40 with three
-    coupled columns the budget of three runs out in a pruned sweep: after
-    the first sweep the Gram test takes one product step and leaves the
-    pair that the step cannot take to a second sweep of only the rounds
-    in which it meets.  On 250 x 60 five sweeps and seven steps stop one
-    step short of convergence, at a ratio of 1.3e-13: the ratio must print
-    above the tolerance too.  The error names the path and the largest
+    coupled columns the budget of three runs out in the Gram tests: after
+    the first sweep, one product step with a pass over the pair that the
+    step cannot take, then a second step, and no second sweep.  On
+    250 x 60 one sweep and twelve steps stop one step short of
+    convergence, at a ratio of 8.7e-15: the ratio must print above the
+    tolerance too.  The error names the budget, the path and the largest
     off-diagonal ratio left, next to the tolerance."""
     path, budget, make = SWEEP_PATHS[shape]
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", budget)
@@ -871,13 +890,14 @@ def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         jacobi_svd(Matrix(a))
     found = re.fullmatch(
-        r"one-sided Jacobi SVD did not converge in (\d+) sweeps \((.+); "
+        r"one-sided Jacobi SVD did not converge in (\d+) sweeps and product "
+        r"steps \((.+); "
         r"largest off-diagonal ratio (\S+) vs JACOBI_OFFDIAG_TOL 1e-15\)",
         str(info.value))
     assert found and int(found[1]) == budget and found[2] == path
     assert JACOBI_OFFDIAG_TOL < float(found[3]) < 1.0
-    if make:  # a full sweep of n - 1 rounds, then a pruned one
-        assert shape[1] - 1 < len(rounds) < 2 * (shape[1] - 1)
+    if make:  # one full sweep of n - 1 rounds, then steps and passes
+        assert len(rounds) == shape[1] - 1
 
 
 # ---------------------------------------------------------------------------
