@@ -317,10 +317,12 @@ def _reflect(y: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _square_q(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Q = I - Y T Y^T as one m x m array, formed in place: the bytes of
-    ``_reflect(y, t, np.eye(m))`` without the identity and its product.
-    0 - x, not -x, keeps a zero entry +0 as I - Y T Y^T does."""
-    q = y @ (t @ y.T)
+    """Q = I - Y T Y^T as one m x m array, formed in place.  Both products
+    are ``np.einsum`` calls, not BLAS: each entry is summed over only n
+    terms, in an order that the shapes fix, where a threaded BLAS rounds
+    some entries differently with the number of threads.  0 - x, not -x,
+    keeps a zero entry +0 as I - Y T Y^T does."""
+    q = np.einsum("ik,kj->ij", y, np.einsum("kl,jl->kj", t, y))
     np.subtract(0.0, q, out=q)
     q.reshape(-1)[::q.shape[0] + 1] += 1.0
     return q
@@ -662,7 +664,8 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     |K_ij| > _STEP_MAX, and ``_rotate_pairs`` then takes the failing pairs
     left out where they sit, in row order.  The Gram test comes again,
     unless that pass rotated nothing and no step was taken.  A step with
-    its pass, or a pass alone, counts toward the budget as a sweep does.
+    its pass, or a pass alone, counts toward the budget as a sweep does;
+    a Gram test costs nothing, so the last unit can still converge.
     """
     n, width = work.shape
     seats = n + n % 2
@@ -701,21 +704,21 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             cur, nxt = nxt, cur
         converged = not rotated
         # Gram tests, product steps and passes over the pairs left out.
-        while budget and not converged and h >= _STEP_MIN_PAIRS:
+        while not converged and h >= _STEP_MIN_PAIRS:
             w = cur[0][:, :m]
             w[np.vecdot(w, w) <= _FLUSH2] = 0.0
             gram = w @ w.T
             ratio = _offdiag_ratios(gram)
             fails = ratio > JACOBI_OFFDIAG_TOL
             converged = not fails.any()
-            if converged or ratio.max() > _STEP_MAX:
+            if converged or not budget or ratio.max() > _STEP_MAX:
                 break
+            budget -= 1
             diag = gram.diagonal()
             with np.errstate(divide="ignore", invalid="ignore"):
                 k = gram / (diag - diag[:, None])
             # False on the diagonal (g_ii / 0), between zeroed columns.
             small = np.abs(k) <= _STEP_MAX
-            budget -= 1
             stepped = (fails & small).any()
             if stepped:
                 k[~small] = 0.0

@@ -900,6 +900,40 @@ def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
         assert len(rounds) == shape[1] - 1
 
 
+@pytest.mark.parametrize("shape, budget", [((100, 40), 6), ((250, 60), 14)])
+def test_budget_spent_by_a_converging_step_returns(shape, budget,
+                                                   monkeypatch):
+    """The Gram test after the last unit of the budget costs nothing: when
+    the step of that unit converges, the SVD returns.  One sweep and five
+    steps confirm the coupled 100 x 40 input, one sweep and thirteen the
+    250 x 60 one (a budget short of those raises above)."""
+    _, _, make = SWEEP_PATHS[shape]
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", budget)
+    units = []  # one entry per round and per pass
+    rotate_pairs = linalg._rotate_pairs
+
+    def counted(h):
+        rotations = _array_rotations(h)
+
+        def count(w_pairs, rot):
+            units.append("round")
+            return rotations(w_pairs, rot)
+        return count
+
+    def rotate(views):
+        units.append("pass")
+        return rotate_pairs(views)
+
+    monkeypatch.setattr(linalg, "_array_rotations", counted)
+    monkeypatch.setattr(linalg, "_rotate_pairs", rotate)
+    a = (make or np.random.default_rng(70).standard_normal)(shape)
+    s = jacobi_svd(Matrix(a)).sigma.array
+    sweeps = units.count("round") // (shape[1] - 1)
+    assert sweeps == 1 and sweeps + units.count("pass") == budget
+    s_ref = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
+
+
 # ---------------------------------------------------------------------------
 # _pinv and _truncate, the pseudo-inverse and truncation the solvers run on
 
