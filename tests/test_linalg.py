@@ -1,6 +1,8 @@
 """Kernel tests: containers, QR, Jacobi SVD, pseudo-inverse, truncation."""
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -215,6 +217,23 @@ def test_pivoted_qr_arrays(shape):
     assert np.all(diagonal[1:] <= diagonal[:-1])
     q = linalg._reflect(y, t, np.eye(n))
     assert np.linalg.norm(a[:, perm] - q @ r) <= 1e-14 * np.linalg.norm(a)
+
+
+def test_square_factors_do_not_depend_on_blas_threads():
+    """The square factors of both public kernels at 834 x 6, where a
+    product on OpenBLAS threads rounded entries of the last columns
+    differently, have the same bytes with one and with four threads."""
+    code = ("import hashlib, numpy as np, tlsfit as tl; "
+            "rng = np.random.default_rng(840); "
+            "a = tl.Matrix(rng.standard_normal((834, 6)) "
+            "* rng.uniform(0.5, 5.0, 6)); "
+            "print(*(hashlib.sha256(m.array.tobytes()).hexdigest() for m in "
+            "(tl.householder_qr(a).q, tl.jacobi_svd(a).u)))")
+    digests = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    ).stdout for threads in ("1", "4")}
+    assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------
