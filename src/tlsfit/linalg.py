@@ -401,18 +401,25 @@ _STEP_MAX = 0.5
 _SCHULZ_MAX_STEPS = 8
 
 
-def _offdiag_ratios(gram: np.ndarray) -> np.ndarray:
-    """|g_ij| / (sqrt(g_ii) sqrt(g_jj)) of a Gram product G = W W^T of the
-    rows of W, for rows i != j whose squared norms are both above
-    _FLUSH2, and 0 elsewhere: a pair fails the orthogonality criterion iff
-    its ratio exceeds JACOBI_OFFDIAG_TOL."""
-    live = gram.diagonal() > _FLUSH2
-    norms = np.sqrt(gram.diagonal(), where=live, out=np.ones(len(live)))
-    ratio = np.abs(gram) / np.outer(norms, norms)
-    np.fill_diagonal(ratio, 0.0)
-    ratio[~live] = 0.0
-    ratio[:, ~live] = 0.0
-    return ratio
+def _gram_test(w: np.ndarray):
+    """(gram, ratio): the Gram product G = W W^T of the rows of W, and
+    |g_ij| / (sqrt(g_ii) sqrt(g_jj)) for i != j, 0 on the diagonal.  A row
+    whose squared norm g_ii is at most _FLUSH2 is set to zero in W, and
+    its row and column in G, so its ratios are 0: a pair fails the
+    orthogonality criterion iff its ratio exceeds JACOBI_OFFDIAG_TOL."""
+    gram = w @ w.T
+    diag = gram.diagonal()
+    norms = np.sqrt(diag)
+    dead = diag <= _FLUSH2
+    if np.count_nonzero(dead):
+        w[dead] = 0.0
+        gram[dead] = 0.0
+        gram[:, dead] = 0.0
+        norms[dead] = 1.0
+    ratio = np.abs(gram)
+    ratio /= np.multiply.outer(norms, norms)
+    ratio.reshape(-1)[::len(ratio) + 1] = 0.0
+    return gram, ratio
 
 
 def _tangent(alpha: float, beta: float, gamma: float) -> float:
@@ -503,6 +510,17 @@ def _round_robin(n: int):
     for table in (order, shift):
         table.flags.writeable = False
     return order, shift
+
+
+@functools.cache
+def _step_tables(n: int):
+    """(eye, upper): the n x n identity and the mask of the pairs i < j
+    that the product steps on n columns read, made once per width and
+    read-only."""
+    tables = np.eye(n), np.triu(np.ones((n, n), dtype=bool), 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _float_rotations(gram: list, w_pairs: np.ndarray,
@@ -609,25 +627,32 @@ def _skew_exp(k: np.ndarray) -> np.ndarray:
     K is scaled by 2^-s so that ||K||_F <= 1/4, its exponential taken to
     the K^4 term of the Taylor series (the rest is below 1e-5), and
     squared s times; Newton-Schulz steps J <- J - J (J^T J - I) / 2 then
-    make J orthogonal to n u (unit roundoff u).
+    make J orthogonal to n u (unit roundoff u).  ``k`` is scaled in place,
+    and every product goes into one of three n x n buffers.
     """
     n = len(k)
-    eye = np.eye(n)
+    eye = _step_tables(n)[0]
     s = max(0, math.frexp(math.sqrt(np.vdot(k, k)))[1] + 2)
-    k = np.ldexp(k, -s)
-    j = eye + k / 4.0
-    for c in (3.0, 2.0):  # Horner: I + K (I + K/2 (I + K/3 (I + K/4)))
-        j = k @ j / c + eye
-    j = k @ j + eye
+    np.ldexp(k, -s, out=k)
+    j, spare, e = np.empty((3, n, n))
+    np.add(eye, np.divide(k, 4.0, out=j), out=j)
+    for c in (3.0, 2.0, 1.0):  # Horner: I + K (I + K/2 (I + K/3 (I + K/4)))
+        np.matmul(k, j, out=spare)
+        spare /= c
+        spare += eye
+        j, spare = spare, j
     for _ in range(s):
-        j = j @ j
+        np.matmul(j, j, out=spare)
+        j, spare = spare, j
     limit = n * np.finfo(float).eps / 2
     for _ in range(_SCHULZ_MAX_STEPS):
-        e = j.T @ j
+        np.matmul(j.T, j, out=e)
         e -= eye
-        if np.maximum.reduce(np.abs(e), axis=None) <= limit:
+        if np.maximum.reduce(np.abs(e, out=spare), axis=None) <= limit:
             break
-        j -= 0.5 * (j @ e)
+        np.matmul(j, e, out=spare)
+        spare *= 0.5
+        j -= spare
     return j
 
 
@@ -651,21 +676,23 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     nothing.
 
     Rounds of at least _STEP_MIN_PAIRS pairs do not spend sweeps on the
-    last digits: after each sweep, one Gram product G = W W^T of the swept
-    columns tests every pair of live columns (squared norms above
-    _FLUSH2; the others are zeroed as a sweep zeroes them).  The sweeps
-    stop when no pair fails.  Otherwise K_ij = g_ij / (g_jj - g_ii) is the
-    skew first-order rotation that makes every pair orthogonal at once
-    (Ogita & Aishima), and one product with J = ``_skew_exp(K)`` moves the
-    whole of ``work``, W and the columns that follow it: a product step.
-    The first order is no guide while some pair is far from orthogonal,
-    or for a pair with near-tied norms: while some ratio exceeds
-    _STEP_MAX, a full sweep comes next; otherwise K leaves out the entries
-    |K_ij| > _STEP_MAX, and ``_rotate_pairs`` then takes the failing pairs
-    left out where they sit, in row order.  The Gram test comes again,
-    unless that pass rotated nothing and no step was taken.  A step with
-    its pass, or a pass alone, counts toward the budget as a sweep does;
-    a Gram test costs nothing, so the last unit can still converge.
+    last digits: after each sweep, ``_gram_test`` takes one Gram product
+    G = W W^T of the swept columns, zeroes the columns whose squared norm
+    g_ii is at most _FLUSH2 (as a sweep zeroes them), and the largest
+    off-diagonal ratio of the others decides.  The sweeps stop when no
+    pair fails.  Otherwise K_ij = g_ij / (g_jj - g_ii), formed in place of
+    G, is the skew first-order rotation that makes every pair orthogonal
+    at once (Ogita & Aishima), and one product with J = ``_skew_exp(K)``
+    moves the whole of ``work``, W and the columns that follow it: a
+    product step.  The first order is no guide while some pair is far
+    from orthogonal, or for a pair with near-tied norms: while some ratio
+    exceeds _STEP_MAX, a full sweep comes next; otherwise K leaves out the
+    entries |K_ij| > _STEP_MAX, and ``_rotate_pairs`` then takes the
+    failing pairs left out where they sit, in row order.  The Gram test
+    comes again, unless that pass rotated nothing and no step was taken.
+    A step with its pass, or a pass alone, counts toward the budget as a
+    sweep does; a Gram test costs nothing, so the last unit can still
+    converge.
     """
     n, width = work.shape
     seats = n + n % 2
@@ -705,29 +732,31 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
         converged = not rotated
         # Gram tests, product steps and passes over the pairs left out.
         while not converged and h >= _STEP_MIN_PAIRS:
-            w = cur[0][:, :m]
-            w[np.vecdot(w, w) <= _FLUSH2] = 0.0
-            gram = w @ w.T
-            ratio = _offdiag_ratios(gram)
-            fails = ratio > JACOBI_OFFDIAG_TOL
-            converged = not fails.any()
-            if converged or not budget or ratio.max() > _STEP_MAX:
+            gram, ratio = _gram_test(cur[0][:, :m])
+            largest = float(ratio.max())
+            converged = largest <= JACOBI_OFFDIAG_TOL
+            if converged or not budget or largest > _STEP_MAX:
                 break
             budget -= 1
-            diag = gram.diagonal()
+            fails = ratio > JACOBI_OFFDIAG_TOL
+            # K in place of G, over g_jj - g_ii in place of the ratios.
+            diag = gram.diagonal().copy()
             with np.errstate(divide="ignore", invalid="ignore"):
-                k = gram / (diag - diag[:, None])
+                k = np.divide(gram, np.subtract(diag, diag[:, None],
+                                                out=ratio), out=gram)
             # False on the diagonal (g_ii / 0), between zeroed columns.
-            small = np.abs(k) <= _STEP_MAX
-            stepped = (fails & small).any()
+            small = np.abs(k, out=ratio) <= _STEP_MAX
+            stepped = np.logical_and(fails, small).any()
+            left_out = np.logical_not(small, out=small)
             if stepped:
-                k[~small] = 0.0
+                k[left_out] = 0.0
                 np.matmul(_skew_exp(k).T, cur[0], out=nxt[0])
                 cur, nxt = nxt, cur
             rows = cur[0]
+            fails &= left_out
+            fails &= _step_tables(n)[1]  # the pairs i < j
             views = [(pair, pair[:, :m]) for pair in (
-                rows[i:j + 1:j - i] for i, j in
-                np.argwhere(np.triu(fails & ~small)).tolist())]
+                rows[i:j + 1:j - i] for i, j in zip(*fails.nonzero()))]
             converged = not (_rotate_pairs(views) or stepped)
     work[order] = cur[0]
     return converged
@@ -809,8 +838,7 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
     path = "rounds" if n >= _ROUND_MIN_COLS else "pairs"
     sweeps = _jacobi_rounds if path == "rounds" else _jacobi_pairs
     if not sweeps(work, swept):
-        w = work[:, :swept]
-        ratio = _offdiag_ratios(w @ w.T).max(initial=0.0)
+        ratio = _gram_test(work[:, :swept])[1].max(initial=0.0)
         raise ConvergenceError(
             f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} "
             f"sweeps and product steps ({path} on "

@@ -479,7 +479,8 @@ def test_thin_svd_of_one_column(column, with_u):
 def test_round_robin_tables_are_cached_read_only():
     """The round-robin tables are built once per width and cannot be
     written; sweeping the same input twice gives the same bits, and the
-    tables are unchanged afterwards."""
+    tables are unchanged afterwards.  So are the identity and the
+    strict-upper mask of the product steps."""
     for n in (4, 5, 12, 2 * _FLOAT_MAX_PAIRS + 3):
         tables = linalg._round_robin(n)
         assert linalg._round_robin(n) is tables
@@ -497,6 +498,12 @@ def test_round_robin_tables_are_cached_read_only():
         assert np.array_equal(swept[0], swept[1])
         for table, copy in zip(tables, kept):
             assert np.array_equal(table, copy)
+    for n in (2 * _STEP_MIN_PAIRS, 31):
+        eye, upper = tables = linalg._step_tables(n)
+        assert linalg._step_tables(n) is tables
+        assert not eye.flags.writeable and not upper.flags.writeable
+        assert np.array_equal(eye, np.eye(n))
+        assert np.array_equal(upper, np.triu(np.ones((n, n), bool), 1))
 
 
 def test_round_robin_meetings_follow_a_simulated_sweep():
@@ -827,6 +834,91 @@ def test_property_stepped_sweeps_match_lapack_at_any_scale(a, k, with_u):
     s_ref = np.linalg.svd(a, compute_uv=False)
     assert np.all(np.abs(np.ldexp(s, -k) - s_ref) <= 1e-13 * s_ref[0])
     assert np.linalg.norm(v.T @ v - np.eye(a.shape[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2 * _STEP_MIN_PAIRS, 31, 60])
+def test_skew_exp_is_orthogonal_and_second_order_close_to_exp(n):
+    """For skew K of n columns with ||K||_F from 1e-12 to 3.9 (no to four
+    squarings), J = _skew_exp(K) has max|J^T J - I| <= n u, and
+    ||J - I - K||_F <= 0.3 ||K||_F^2.  exp(K) itself meets 1/2, for K is
+    normal and |e^(i theta) - 1 - i theta| <= theta^2 / 2 per eigenvalue;
+    these inputs reach 0.198 (n = 16; 0.136 at 31, 0.095 at 60), so 0.3
+    keeps 1.5x headroom.  Zero rows and columns of K, as flushed columns
+    give, leave those rows and columns of J exactly e_i."""
+    rng = np.random.default_rng(98 + n)
+    eye = np.eye(n)
+    unit_roundoff = np.finfo(float).eps / 2
+    zero = [0, 5, n - 1]
+    for norm in (1e-12, 1e-8, 1e-4, 0.1, 0.3, 0.5, 1.0, 2.0, 3.9):
+        for flushed in (False, True):
+            a = rng.standard_normal((n, n))
+            if flushed:
+                a[zero] = 0.0
+                a[:, zero] = 0.0
+            k = (a - a.T) * (norm / np.linalg.norm(a - a.T))
+            j = linalg._skew_exp(k.copy())
+            assert np.max(np.abs(j.T @ j - eye)) <= n * unit_roundoff
+            assert (np.linalg.norm(j - eye - k)
+                    <= 0.3 * np.linalg.norm(k) ** 2)
+            if flushed:
+                assert np.array_equal(j[zero], eye[zero])
+                assert np.array_equal(j[:, zero], eye[:, zero])
+
+
+def _vecdot_flush_then_ratios(w):
+    """The Gram test as the sweeps took it before ``_gram_test``: rows with
+    ``np.vecdot`` squared norms at most 1e-200 set to zero, then the
+    ratios of G = W W^T, with the rows whose g_ii is at most 1e-200 masked
+    to 0.  Returns (gram, ratio)."""
+    w[np.vecdot(w, w) <= 1e-200] = 0.0
+    gram = w @ w.T
+    live = gram.diagonal() > 1e-200
+    norms = np.sqrt(gram.diagonal(), where=live, out=np.ones(len(live)))
+    ratio = np.abs(gram) / np.outer(norms, norms)
+    np.fill_diagonal(ratio, 0.0)
+    ratio[~live] = 0.0
+    ratio[:, ~live] = 0.0
+    return gram, ratio
+
+
+def test_gram_test_flushes_rows_as_the_vecdot_flush_did():
+    """W with an exactly zero row, a row of squared norm 5e-201, a row of
+    entries near 1e-170 whose squares underflow (it alone would give
+    ratios 1e-170 / 0), and two pairs of rows with exactly equal norms,
+    one orthogonal (K_ij = 0 / 0) and one not (K_ij = x / 0).  The three
+    tiny rows are zeroed in W and in G and their ratios are 0, without a
+    RuntimeWarning; W, G and the ratios equal those of a vecdot flush and
+    the masked ratios.  K_ij = g_ij / (g_jj - g_ii) is finite once the
+    entries |K_ij| > 1/2 are zeroed, as a product step zeroes them."""
+    rng = np.random.default_rng(99)
+    n, m = 2 * _STEP_MIN_PAIRS, 40
+    w = rng.standard_normal((n, m))
+    w[0] = 0.0
+    w[1] = rng.standard_normal(m)
+    w[1] *= math.sqrt(5e-201) / np.linalg.norm(w[1])
+    w[2] = 1e-170 * rng.uniform(0.5, 2.0, m)
+    w[3:7] = 0.0  # entries whose squares and products are exact
+    w[3, :2], w[4, :2] = (0.75, 0.5), (-0.5, 0.75)
+    w[5, 2:4], w[6, 2:4] = (0.75, 0.5), (0.5, 0.75)
+    assert 0.0 < w[1] @ w[1] <= 1e-200 and w[2] @ w[2] == 0.0
+    expected_w = w.copy()
+    expected_gram, expected_ratio = _vecdot_flush_then_ratios(expected_w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gram, ratio = linalg._gram_test(w)
+    flushed = [0, 1, 2]
+    assert not w[flushed].any()
+    assert not gram[flushed].any() and not gram[:, flushed].any()
+    assert not ratio[flushed].any() and not ratio[:, flushed].any()
+    assert ratio[3, 4] == 0.0 and ratio[5, 6] > 0.5
+    assert np.array_equal(w, expected_w)
+    assert np.array_equal(gram, expected_gram)
+    assert np.array_equal(ratio, expected_ratio)
+    diag = gram.diagonal()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = gram / (diag - diag[:, None])
+    k[~(np.abs(k) <= 0.5)] = 0.0
+    assert np.all(np.isfinite(k))
 
 
 def test_concurrent_wide_sweeps_match_serial_runs():
