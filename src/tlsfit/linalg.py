@@ -559,23 +559,25 @@ def _float_rotations(gram: list, w_pairs: np.ndarray,
 
 
 def _array_rotations(h: int):
-    """What ``_float_rotations`` does, for rounds of h pairs: returns the
-    function (w_pairs, rot) -> the number of pairs that rotate.
+    """The rotations of rounds of h pairs on arrays: returns the function
+    (w_pairs, rot) -> the number of pairs that rotate, which fills ``rot``
+    as ``_float_rotations`` does but sets no column to zero; the Gram test
+    that ends every sweep of these rounds does.  A column whose squared
+    norm is at most _FLUSH2 rotates, if at all, by a t of the order of
+    gamma / (beta - alpha), within rounding of the identity next to a
+    live column.
 
     The Gram entries come from two ``np.vecdot`` calls and the criterion
     and ``_tangent`` run on arrays, every step into arrays allocated here
     once.  ``_jacobi_rounds`` calls this once per call, so concurrent and
-    nested calls share none.  Squared norms, norms and flush flags are
-    2 x h, so that alpha and beta, and each whole array flattened, are
-    contiguous.
+    nested calls share none.  Squared norms and norms are 2 x h, so that
+    alpha and beta, and each whole array flattened, are contiguous.
     """
     squares, norms = np.empty((2, 2, h))
     alpha, beta = squares
     by_pair, squares_flat = squares.T, squares.reshape(-1)
     norms_flat = norms.reshape(-1)
     norms0, norms1 = norms
-    flush = np.empty((2, h), dtype=bool)
-    flush_flat = flush.reshape(-1)
     gamma, bound, abs_gamma, d, g2, den = np.empty((6, h))
     moves = np.empty(h, dtype=bool)
     # [[1, -t], [t, 1]] per pair: the unit diagonal is set once.
@@ -588,11 +590,6 @@ def _array_rotations(h: int):
     def rotations(w_pairs: np.ndarray, rot: np.ndarray) -> int:
         np.vecdot(w_pairs, w_pairs, out=by_pair)
         np.vecdot(w_pairs[:, 0], w_pairs[:, 1], out=gamma)
-        np.less_equal(squares_flat, _FLUSH2, out=flush_flat)
-        if np.count_nonzero(flush_flat):
-            # A flushed column has gamma 0, which leaves its pair as is.
-            w_pairs[flush.T] = 0.0
-            gamma[flush.any(axis=0)] = 0.0
         np.sqrt(squares_flat, out=norms_flat)
         np.multiply(norms0, norms1, out=bound)
         np.multiply(JACOBI_OFFDIAG_TOL, bound, out=bound)
@@ -672,8 +669,8 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     most _FLOAT_MAX_PAIRS pairs takes its Gram matrices in one
     ``np.vecdot`` call and its rotations from ``_float_rotations``, a
     larger one from the function that ``_array_rotations`` makes once per
-    call.  Needs n >= 3.  The sweeps stop after a sweep that rotates
-    nothing.
+    call.  Needs n >= 3.  Rounds on floats stop after a sweep that
+    rotates nothing; every sweep of rounds on arrays ends in a Gram test.
 
     Rounds of at least _STEP_MIN_PAIRS pairs do not spend sweeps on the
     last digits: after each sweep, ``_gram_test`` takes one Gram product
@@ -729,7 +726,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             # ``out``; every index of ``shift`` is in range.
             cur[0].take(shift, 0, nxt[0], "clip")
             cur, nxt = nxt, cur
-        converged = not rotated
+        converged = few and not rotated
         # Gram tests, product steps and passes over the pairs left out.
         while not converged and h >= _STEP_MIN_PAIRS:
             gram, ratio = _gram_test(cur[0][:, :m])

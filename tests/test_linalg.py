@@ -694,14 +694,17 @@ def test_round_robin_sweeps_match_per_pair_loop(n):
         np.testing.assert_allclose(sigmas[1], sigmas[0], rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("n", sorted({6, 2 * _FLOAT_MAX_PAIRS + 2, 32}))
+@pytest.mark.parametrize("n", [6, 14, 16, 28, 32])
 def test_float_and_array_rotations_agree(n):
     """One round's rotations taken pair by pair on floats (math.hypot) and
-    on arrays (np.hypot) agree to a few ulps, on a round with a flushed
-    column and a pair already below the criterion."""
+    on arrays (np.hypot) agree to a few ulps, on a round with a tiny
+    column and a pair already below the criterion.  The floats flush the
+    tiny column to zero; the arrays leave it to the Gram test of
+    ``_jacobi_rounds`` and give its pair a finite rotation within 1e-100
+    of the identity."""
     rng = np.random.default_rng(90 + n)
     w = rng.standard_normal((n, 3 * n))
-    w[1] *= 1e-110  # squared norm below _FLUSH2: flushed to zero
+    w[1] *= 1e-110  # squared norm below _FLUSH2
     w[3] = w[2] * rng.uniform(0.5, 2.0)  # parallel to its pair
     w[5] -= (w[4] @ w[5]) / (w[4] @ w[4]) * w[4]  # orthogonal to its pair
     rotations = []
@@ -711,15 +714,46 @@ def test_float_and_array_rotations_agree(n):
         if on_floats:
             gram = np.vecdot(w_pairs[:, :, None], w_pairs[:, None])
             assert _float_rotations(gram.tolist(), w_pairs, rot)
+            assert not w_pairs[0, 1].any()
+            np.testing.assert_array_equal(rot[0], np.eye(2))
         else:
             assert _array_rotations(n // 2)(w_pairs, rot)
-        assert not w_pairs[0, 1].any()
-        rotations.append(rot)
+            assert np.array_equal(w_pairs[0], w.reshape(n // 2, 2, -1)[0])
+            assert np.all(np.isfinite(rot[0]))
+            assert np.max(np.abs(rot[0] - np.eye(2))) <= 1e-100
+        np.testing.assert_array_equal(rot[2], np.eye(2))
+        rotations.append(rot[1:])
     floats, arrays = rotations
-    for rot in rotations:
-        np.testing.assert_array_equal(rot[[0, 2]], [np.eye(2)] * 2)
-    assert abs(floats[1, 1, 0]) > 0.4  # parallel columns: |t| >= 1/2
+    assert abs(floats[0, 1, 0]) > 0.4  # parallel columns: |t| >= 1/2
     assert np.all(np.abs(arrays - floats) <= 4 * np.spacing(np.abs(floats)))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("n", [16, 20, 28, 31, 40])
+def test_quiet_wide_sweeps_still_flush(n, rotated):
+    """Orthogonal columns at n = 16-40 (31: a bye seat), one of them at
+    1e-150 and one at 1e-170, diagonal or with their rows rotated, at
+    m = n, 3 n and 200 (200 x 28 and wider on R^T): on the diagonal
+    input the first sweep rotates nothing, and the Gram test after it
+    must still flush both tiny columns.  Exactly two sigma are 0, the
+    others equal their diagonal entries to 1e-15 relative, V is
+    orthogonal to 1e-14, and no RuntimeWarning is raised."""
+    rng = np.random.default_rng(400 + n)
+    for m in (n, 3 * n, 200):
+        entries = rng.uniform(0.5, 5.0, n)
+        tiny = rng.choice(n, 2, replace=False)
+        entries[tiny] = 1e-150, 1e-170
+        a = np.zeros((m, n))
+        a[np.arange(n), np.arange(n)] = entries
+        if rotated:
+            a = np.linalg.qr(rng.standard_normal((m, m)))[0] @ a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, s, v = _thin_svd(a, with_u=False)
+        assert np.count_nonzero(s == 0.0) == 2
+        live = np.sort(np.delete(entries, tiny))[::-1]
+        np.testing.assert_allclose(s[:n - 2], live, rtol=1e-15, atol=0)
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-14
 
 
 def _tied_cloud(seed, m, n):
