@@ -17,14 +17,14 @@ and sweeps only the n x n R^T (Drmac & Veselic); V comes from the swept
 columns, and U = Q [J; 0], J the accumulated rotations, only for callers
 that read U, which no TLS split of C does.  Smaller inputs are swept as
 they are.  The sweeps rotate a round of disjoint pairs at once from
-_ROUND_MIN_COLS columns on, taking the rotations of a round with few
-pairs on floats, and sweep two or three columns one pair at a time; all
+_ROUND_MIN_COLS columns on, on floats below _STEP_MIN_PAIRS pairs and on
+arrays from there on, and two or three columns one pair at a time; all
 compute the rotation as t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
-Rounds of many pairs follow each sweep with product steps instead of
-more sweeps: one Gram product gives every pair's first-order rotation
-at once, and one orthogonal J = exp(K) of them moves the whole work
-block (Ogita & Aishima); the pairs a step cannot take are rotated one
-at a time where they sit.
+Every sweep of rounds on arrays ends in a Gram test and product steps:
+one Gram product gives every pair's first-order rotation at once, and
+one orthogonal J = exp(K) of them moves the whole work block (Ogita &
+Aishima); the pairs a step cannot take are rotated one at a time where
+they sit.
 
 Arrays inside, containers at the public boundary: public functions take
 and return the validated ``Matrix``/``Vector``; the private helpers
@@ -207,10 +207,10 @@ def _truncate(c: np.ndarray, v: np.ndarray, k: int):
 
 
 # Columns this far below the working scale (the largest entry normalized
-# to [0.5, 1)) carry singular values < 1e-100 relative.  The sweeps flush
-# them to exact zero, which prevents an underflow livelock where a squared
-# norm rounds to 0 while mixed products do not; the QR leaves their
-# reflector out, whose 2 / |v|^2 would overflow.
+# to [0.5, 1)) carry singular values < 1e-100 relative.  Sweeps on floats
+# and the Gram tests flush them to exact zero, which prevents an underflow
+# livelock where a squared norm rounds to 0 while mixed products do not;
+# the QR leaves their reflector out, whose 2 / |v|^2 would overflow.
 _FLUSH2 = 1e-200
 # A downdated squared column norm keeps about half of its digits once it
 # has fallen below this fraction of its value when last computed in full;
@@ -375,19 +375,14 @@ _QR_MIN_SIZE = 5000
 # n = 4 1.15x / 1.16x, n = 5 1.04x / 1.05x (two pairs and a bye), n = 6
 # 1.49x / 1.55x, n = 8 1.71x / 1.77x, n = 12 2.40x / 2.29x.
 _ROUND_MIN_COLS = 4
-# A round of at most _FLOAT_MAX_PAIRS pairs takes the criterion and the
-# rotations pair by pair on floats, a larger one on arrays, in buffers
-# made once per call.  With the product steps that follow the sweeps of
-# _STEP_MIN_PAIRS pairs and more: _thin_svd with all rounds on arrays over
-# all on floats, Gaussian m x n with m = n to 12 n (median over 5 shapes of
-# the best of 3 x 3 runs, alternating, one BLAS thread; 2-5 repeats per
-# width, with U / without): 8 pairs 1.13x / 1.13x, 10 1.05x / 1.03x,
-# 12 1.01-1.03x / 1.00-1.04x, 13 0.98-1.13x / 0.94-1.02x, 14 0.91-0.99x /
-# 0.97-1.02x, 15 0.94-0.99x / 0.93-0.98x, 16 0.92x / 0.95x.  Arrays win
-# from 14 pairs on, by 1-5%.
-_FLOAT_MAX_PAIRS = 13
-# _jacobi_rounds follows each sweep of rounds of at least _STEP_MIN_PAIRS
-# pairs with Gram tests and product steps.
+# Rounds of fewer than _STEP_MIN_PAIRS pairs take their rotations pair by
+# pair on floats and stop on a sweep that rotates nothing; larger ones take
+# them on arrays, and each sweep ends in a Gram test and product steps.
+# One round's rotations, arrays over floats (timeit, one BLAS thread, every
+# pair / two pairs rotating): 7 pairs 1.27-1.40x / 1.67-1.75x, 8 1.15-1.23x
+# / 1.62-1.89x, 9 1.06-1.18x / 1.51-1.91x.  _thin_svd, arrays over floats at
+# 8-9 pairs (Gaussian, m = n to 12 n, alternating): n = 16-17 1.00-1.12x,
+# n = 18-19 0.98-1.05x, against 0.98-1.02x at the unchanged n = 14-15.
 _STEP_MIN_PAIRS = 8
 # A product step is first order: it takes a pair's K_ij only while every
 # pair's off-diagonal ratio, and |K_ij| itself, are at most _STEP_MAX.
@@ -430,8 +425,8 @@ def _tangent(alpha: float, beta: float, gamma: float) -> float:
     the smaller root of t^2 + 2 zeta t - 1 = 0, zeta = d / (2 gamma), that
     is sign(zeta) / (|zeta| + sqrt(1 + zeta^2)) (Rutishauser), without
     forming zeta: |t| <= 1 and hypot does not overflow.  ``_rotate_pairs``
-    and the rounds of at most _FLOAT_MAX_PAIRS pairs call it pair by pair;
-    larger rounds compute the same expression on arrays.
+    and the rounds of fewer than _STEP_MIN_PAIRS pairs call it pair by
+    pair; larger rounds compute the same expression on arrays.
     """
     d = beta - alpha
     return 2.0 * gamma / (d + math.copysign(math.hypot(d, 2.0 * gamma), d))
@@ -525,8 +520,8 @@ def _step_tables(n: int):
 
 def _float_rotations(gram: list, w_pairs: np.ndarray,
                      rot: np.ndarray) -> int:
-    """The rotations of one round into ``rot``, pair by pair on floats;
-    returns the number of pairs that rotate.
+    """The rotations of a round of fewer than _STEP_MIN_PAIRS pairs into
+    ``rot``, pair by pair on floats; returns how many pairs rotate.
 
     ``gram[k]`` is the 2 x 2 Gram matrix [[alpha, gamma], [gamma, beta]],
     as nested lists, of the two columns of W in ``w_pairs[k]``; ``rot[k]``
@@ -559,24 +554,20 @@ def _float_rotations(gram: list, w_pairs: np.ndarray,
 
 
 def _array_rotations(h: int):
-    """The rotations of rounds of h pairs on arrays: returns the function
-    (w_pairs, rot) -> the number of pairs that rotate, which fills ``rot``
-    as ``_float_rotations`` does but sets no column to zero; the Gram test
-    that ends every sweep of these rounds does.  A column whose squared
-    norm is at most _FLUSH2 rotates, if at all, by a t of the order of
-    gamma / (beta - alpha), within rounding of the identity next to a
-    live column.
+    """The rotations of rounds of h >= _STEP_MIN_PAIRS pairs on arrays:
+    returns the function (w_pairs, rot) -> the number of pairs that
+    rotate, which fills ``rot`` as ``_float_rotations`` does but leaves
+    the columns of squared norm at most _FLUSH2 to the Gram test that
+    ends the sweep.
 
     The Gram entries come from two ``np.vecdot`` calls and the criterion
     and ``_tangent`` run on arrays, every step into arrays allocated here
     once.  ``_jacobi_rounds`` calls this once per call, so concurrent and
-    nested calls share none.  Squared norms and norms are 2 x h, so that
-    alpha and beta, and each whole array flattened, are contiguous.
+    nested calls share none.  alpha and beta are rows of one 2 x h array.
     """
     squares, norms = np.empty((2, 2, h))
     alpha, beta = squares
-    by_pair, squares_flat = squares.T, squares.reshape(-1)
-    norms_flat = norms.reshape(-1)
+    by_pair = squares.T
     norms0, norms1 = norms
     gamma, bound, abs_gamma, d, g2, den = np.empty((6, h))
     moves = np.empty(h, dtype=bool)
@@ -590,7 +581,7 @@ def _array_rotations(h: int):
     def rotations(w_pairs: np.ndarray, rot: np.ndarray) -> int:
         np.vecdot(w_pairs, w_pairs, out=by_pair)
         np.vecdot(w_pairs[:, 0], w_pairs[:, 1], out=gamma)
-        np.sqrt(squares_flat, out=norms_flat)
+        np.sqrt(squares, out=norms)
         np.multiply(norms0, norms1, out=bound)
         np.multiply(JACOBI_OFFDIAG_TOL, bound, out=bound)
         np.greater(np.abs(gamma, out=abs_gamma), bound, out=moves)
@@ -665,31 +656,29 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     pairs commute, so a round is the same as rotating its pairs one by
     one; a pair below the criterion gets t = 0, the identity.  Odd n
     seats a virtual zero column in seat 0, which never moves: its pair,
-    the bye, is left out, so the pairs start at row 1.  A round of at
-    most _FLOAT_MAX_PAIRS pairs takes its Gram matrices in one
-    ``np.vecdot`` call and its rotations from ``_float_rotations``, a
-    larger one from the function that ``_array_rotations`` makes once per
-    call.  Needs n >= 3.  Rounds on floats stop after a sweep that
-    rotates nothing; every sweep of rounds on arrays ends in a Gram test.
+    the bye, is left out, so the pairs start at row 1.  Needs n >= 3.  A
+    round of fewer than _STEP_MIN_PAIRS pairs takes its Gram matrices in
+    one ``np.vecdot`` call and its rotations from ``_float_rotations``;
+    the sweeps stop after a sweep that rotates nothing.
 
-    Rounds of at least _STEP_MIN_PAIRS pairs do not spend sweeps on the
-    last digits: after each sweep, ``_gram_test`` takes one Gram product
-    G = W W^T of the swept columns, zeroes the columns whose squared norm
-    g_ii is at most _FLUSH2 (as a sweep zeroes them), and the largest
-    off-diagonal ratio of the others decides.  The sweeps stop when no
-    pair fails.  Otherwise K_ij = g_ij / (g_jj - g_ii), formed in place of
-    G, is the skew first-order rotation that makes every pair orthogonal
-    at once (Ogita & Aishima), and one product with J = ``_skew_exp(K)``
-    moves the whole of ``work``, W and the columns that follow it: a
-    product step.  The first order is no guide while some pair is far
-    from orthogonal, or for a pair with near-tied norms: while some ratio
-    exceeds _STEP_MAX, a full sweep comes next; otherwise K leaves out the
-    entries |K_ij| > _STEP_MAX, and ``_rotate_pairs`` then takes the
-    failing pairs left out where they sit, in row order.  The Gram test
-    comes again, unless that pass rotated nothing and no step was taken.
-    A step with its pass, or a pass alone, counts toward the budget as a
-    sweep does; a Gram test costs nothing, so the last unit can still
-    converge.
+    Larger rounds take theirs from ``_array_rotations``, and the sweeps do
+    not spend sweeps on the last digits: each, quiet or not, ends in
+    ``_gram_test``, one Gram product G = W W^T of the swept columns that
+    zeroes those of g_ii at most _FLUSH2 (nothing else zeroes them on
+    these rounds); the largest off-diagonal ratio of the others decides.
+    The sweeps stop when no pair fails.  Otherwise K_ij = g_ij /
+    (g_jj - g_ii), formed in place of G, is the skew first-order rotation
+    that makes every pair orthogonal at once (Ogita & Aishima), and one
+    product with J = ``_skew_exp(K)`` moves the whole of ``work``, W and
+    the columns that follow it: a product step.  The first order is no
+    guide while some pair is far from orthogonal, or for a pair with
+    near-tied norms: while some ratio exceeds _STEP_MAX, a full sweep
+    comes next; otherwise K leaves out the entries |K_ij| > _STEP_MAX,
+    and ``_rotate_pairs`` then takes the failing pairs left out where
+    they sit, in row order.  The Gram test comes again, unless that pass
+    rotated nothing and no step was taken.  A step with its pass, or a
+    pass alone, counts toward the budget as a sweep does; a Gram test
+    costs nothing, so the last unit can still converge.
     """
     n, width = work.shape
     seats = n + n % 2
@@ -705,7 +694,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
         buffers.append((rows, pairs, w_pairs, w_pairs[:, :, None],
                         w_pairs[:, None]))
     cur, nxt = buffers
-    few = h <= _FLOAT_MAX_PAIRS
+    few = h < _STEP_MIN_PAIRS
     rot = np.empty((h, 2, 2))
     rotations = None if few else _array_rotations(h)
     budget = JACOBI_MAX_SWEEPS
@@ -728,7 +717,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
             cur, nxt = nxt, cur
         converged = few and not rotated
         # Gram tests, product steps and passes over the pairs left out.
-        while not converged and h >= _STEP_MIN_PAIRS:
+        while not (few or converged):
             gram, ratio = _gram_test(cur[0][:, :m])
             largest = float(ratio.max())
             converged = largest <= JACOBI_OFFDIAG_TOL

@@ -29,11 +29,10 @@ from tlsfit import (
     solve_tls_system,
 )
 from tlsfit import linalg
-from tlsfit.linalg import (_FLOAT_MAX_PAIRS, _QR_MIN_COLS, _QR_MIN_SIZE,
-                           _ROUND_MIN_COLS, _STEP_MIN_PAIRS, _array_rotations,
-                           _binary_exponent, _float_rotations, _jacobi_pairs,
-                           _jacobi_rounds, _pinv, _tangent, _thin_svd,
-                           _truncate)
+from tlsfit.linalg import (_QR_MIN_COLS, _QR_MIN_SIZE, _ROUND_MIN_COLS,
+                           _STEP_MIN_PAIRS, _array_rotations, _binary_exponent,
+                           _float_rotations, _jacobi_pairs, _jacobi_rounds,
+                           _pinv, _tangent, _thin_svd, _truncate)
 from tlsfit.tolerances import JACOBI_OFFDIAG_TOL
 from oracles import (graded_known_sigma, steep_rows, sym_eigen_closed_form,
                      tied_known_sigma)
@@ -481,7 +480,7 @@ def test_round_robin_tables_are_cached_read_only():
     written; sweeping the same input twice gives the same bits, and the
     tables are unchanged afterwards.  So are the identity and the
     strict-upper mask of the product steps."""
-    for n in (4, 5, 12, 2 * _FLOAT_MAX_PAIRS + 3):
+    for n in (4, 5, 12, 29):
         tables = linalg._round_robin(n)
         assert linalg._round_robin(n) is tables
         kept = [table.copy() for table in tables]
@@ -650,26 +649,22 @@ def test_stepped_sweeps_keep_relative_accuracy(grading):
                                    rtol=1e-13, atol=0)
 
 
-# Widths 6-13, 16 and 30-33, both sides of the column cutoff of the
-# rounds, of the smallest rounds followed by product steps and of the
-# largest round whose rotations are taken on floats, and 60.
-@pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16, 30, 31,
-                                      32, 33, 60,
+# Widths 6-13, 16, 26-29 and 30-33, both sides of the column cutoff of
+# the rounds and of the smallest rounds on arrays, followed by product
+# steps, and 60.
+@pytest.mark.parametrize("n", sorted({6, 7, 8, 9, 10, 11, 12, 13, 16, 26, 27,
+                                      28, 29, 30, 31, 32, 33, 60,
                                       _ROUND_MIN_COLS - 1, _ROUND_MIN_COLS,
                                       _ROUND_MIN_COLS + 1,
                                       2 * _STEP_MIN_PAIRS - 1,
-                                      2 * _STEP_MIN_PAIRS,
-                                      2 * _FLOAT_MAX_PAIRS,
-                                      2 * _FLOAT_MAX_PAIRS + 1,
-                                      2 * _FLOAT_MAX_PAIRS + 2,
-                                      2 * _FLOAT_MAX_PAIRS + 3}))
+                                      2 * _STEP_MIN_PAIRS}))
 def test_round_robin_sweeps_match_per_pair_loop(n):
     """On the same matrices, the per-pair loop and the batched rounds both
     leave every column pair within JACOBI_OFFDIAG_TOL, accumulate their
-    rotations in V, and agree on sigma to 1e-14 relative.  The widths
-    around 2 _FLOAT_MAX_PAIRS take the rounds' rotations on floats
-    (up to _FLOAT_MAX_PAIRS pairs a round) and on arrays (one more); from
-    2 _STEP_MIN_PAIRS on the sweeps end in Gram tests and product steps.
+    rotations in V, and agree on sigma to 1e-14 relative.  Below
+    2 _STEP_MIN_PAIRS columns the rounds take their rotations on floats;
+    from there on they take them on arrays, and every sweep ends in a
+    Gram test, then product steps.
 
     A pair's inner product is known only up to the rounding bound of a
     computed dot product, m u sum_k |w_ki w_kj|; the check allows that
@@ -957,9 +952,9 @@ def test_gram_test_flushes_rows_as_the_vecdot_flush_did():
 
 def test_concurrent_wide_sweeps_match_serial_runs():
     """Four threads, two on 250 x 60 and two on 150 x 40, sweep rounds of
-    more than _FLOAT_MAX_PAIRS pairs at the same time, switching every
-    10 us: each gives exactly the serial result, since every call fills
-    round buffers of its own."""
+    20 and 30 pairs on arrays at the same time, switching every 10 us:
+    each gives exactly the serial result, since every call fills round
+    buffers of its own."""
     rng = np.random.default_rng(95)
     inputs = [rng.standard_normal(shape) for shape in [(250, 60), (150, 40)]]
     serial = [_thin_svd(a) for a in inputs]

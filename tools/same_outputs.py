@@ -75,16 +75,16 @@ def hard_corpus(oracles):
 
     Gaussian inputs (column scales over one decade) at widths on both sides
     of the kernel's cutoffs, as they stand: 3-5 around the round-robin
-    cutoff (4 columns), 14-17 around the first rounds followed by product
-    steps (16 columns, 8 pairs), 26-29 around the largest rounds whose
-    rotations are taken on floats (26 columns, 13 pairs), 6 and 7 columns
-    at m n >= 5000 around the preconditioner's column cutoff, and 50 and 51
-    columns just below and above its 5000 entries.  Then, at 5, 12 and 30
-    columns swept on A and at 170 x 30 on R^T: columns graded to 1e-30
-    (random and with known singular values), steeply graded rows, data
-    scaled by 2^1000 and by 2^-1000, subnormal data, a zero column and a
-    duplicated column.  Last, exactly tied singular values at 100 x 40,
-    100 x 41 (a bye seat) and 170 x 30 (on R^T).
+    cutoff (4 columns), 14-17 around the first rounds on arrays, followed
+    by product steps (16 columns, 8 pairs), 6 and 7 columns at
+    m n >= 5000 around the preconditioner's column cutoff, and 50 and 51
+    columns just below and above its 5000 entries; 26-29 straddle no
+    cutoff now, and stay so that the corpus does not change.  Then, at
+    5, 12 and 30 columns swept on A and at 170 x 30 on R^T: columns
+    graded to 1e-30 (random and with known singular values), steeply
+    graded rows, data scaled by 2^1000 and by 2^-1000, subnormal data, a
+    zero column and a duplicated column.  Last, exactly tied singular
+    values at 100 x 40, 100 x 41 (a bye seat) and 170 x 30 (on R^T).
     """
     def gaussian(seed, m, n):
         rng = np.random.default_rng(seed)
