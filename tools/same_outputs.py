@@ -83,8 +83,12 @@ def hard_corpus(oracles):
     5, 12 and 30 columns swept on A and at 170 x 30 on R^T: columns
     graded to 1e-30 (random and with known singular values), steeply
     graded rows, data scaled by 2^1000 and by 2^-1000, subnormal data, a
-    zero column and a duplicated column.  Last, exactly tied singular
+    zero column and a duplicated column.  Then exactly tied singular
     values at 100 x 40, 100 x 41 (a bye seat) and 170 x 30 (on R^T).
+    Last, one column, which is its own SVD: a Gaussian 40 x 1, a zero
+    column, that column scaled by 2^1000, 2^-1000 and 2^-1060
+    (subnormal), a negative 1 x 1, and a 1 x 9 row, whose SVD is that
+    of its transpose.
     """
     def gaussian(seed, m, n):
         rng = np.random.default_rng(seed)
@@ -112,6 +116,14 @@ def hard_corpus(oracles):
     for seed, (m, n) in ((96, (100, 40)), (97, (100, 41)), (98, (170, 30))):
         yield "tied", oracles.tied_known_sigma(np.random.default_rng(seed),
                                                m, n)[0]
+    column = gaussian(40, 40, 1)
+    yield "gaussian", column
+    yield "zero column", np.zeros((40, 1))
+    for k in (1000, -1000):
+        yield f"scaled 2^{k}", np.ldexp(column, k)
+    yield "subnormal", np.ldexp(column, -1060)
+    yield "gaussian", gaussian(4, 1, 1)  # negative
+    yield "gaussian", gaussian(9, 1, 9)
 
 
 def _recorded(call):
