@@ -20,6 +20,7 @@ they are.  The sweeps rotate a round of disjoint pairs at once from
 _ROUND_MIN_COLS columns on, on floats below _STEP_MIN_PAIRS pairs and on
 arrays from there on, and two or three columns one pair at a time; all
 compute the rotation as t = 2 gamma / (d + sign(d) hypot(d, 2 gamma)).
+One column is its own SVD, read off without a sweep.
 Every sweep of rounds on arrays ends in a Gram test and product steps:
 one Gram product gives every pair's first-order rotation at once, and
 one orthogonal J = exp(K) of them moves the whole work block (Ogita &
@@ -791,11 +792,23 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
     2008) do: rows sorted, it is factored A P = Q R by the pivoted QR, and
     the sweeps run on X = R^T.  X J = W with orthogonal columns gives
     V = P W / sigma and, only when asked for, U = Q [J; 0].  Smaller
-    inputs are swept as they are.  Sweeps and product steps that exhaust
+    inputs are swept as they are, and W / sigma is formed there only
+    when it is asked for, as U.  Sweeps and product steps that exhaust
     JACOBI_MAX_SWEEPS raise a ConvergenceError naming the path and the
-    swept matrix, with the largest off-diagonal ratio left in W.
+    swept matrix, with the largest off-diagonal ratio left in W.  One
+    column is its own SVD and takes no sweep: sigma = ||a||, V = [[1]]
+    and U = a / sigma, zero for a zero column.
     """
     m, n = a.shape
+    if n == 1:  # its own SVD
+        exponent = _binary_exponent(a)
+        w = np.ldexp(a.T, -exponent)
+        sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
+        if with_u:  # a zero column stays zero
+            np.divide(w, sigma, out=w, where=sigma > 0.0)
+        return (w.T if with_u else None,
+                _ldexp_in_range(sigma, exponent, "singular values"),
+                np.ones((1, 1)))
     on_r = n >= _QR_MIN_COLS and m * n >= _QR_MIN_SIZE
     # Scaling keeps squared column norms away from overflow and underflow.
     if on_r:
@@ -832,8 +845,8 @@ def _thin_svd(a: np.ndarray, with_u: bool = True):
             f"{ratio:.17g} vs JACOBI_OFFDIAG_TOL {JACOBI_OFFDIAG_TOL:g})")
     w = work[:, :swept]
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-    # Columns of W over sigma; a zero column stays zero.
-    np.divide(w, norms[:, None], out=w, where=norms[:, None] > 0.0)
+    if on_r or with_u:  # W / sigma is V on R^T, U on A; zero stays zero
+        np.divide(w, norms[:, None], out=w, where=norms[:, None] > 0.0)
     order = (-norms).argsort(kind="stable")
     scaled = norms[order]
     # Fancy-indexed rows, transposed: column-major factors.

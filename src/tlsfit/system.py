@@ -55,12 +55,14 @@ def augment(a: Matrix, b: Vector) -> Matrix:
 def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
     """SVD of C = (A | B) split after column n, and X = -V12 V22^{-1}.
 
-    ``c`` holds C scaled by 2^-exponent.  Returns (s, v, x, null_vector,
-    s22, unique): s and v of the SVD of C, s at the scale of C and U not
+    ``c`` holds C scaled by 2^-exponent.  Returns (s, v, x, z, s22,
+    unique): s and v of the SVD of C, s at the scale of C and U not
     formed (``_truncate(c, v, n)`` is the nearest solvable system); x is
     None when s22, the smallest singular value of V22, is at most
-    EXISTENCE_TOL; null_vector is V[:, n:] times its right singular
-    vector; unique is the gap test at column n.
+    EXISTENCE_TOL; z is the right singular vector of V22 for s22, [1.0]
+    when V22 is 1 x 1, and V[:, n:] z is the null vector that
+    ``_split_or_raise`` reports when x is None; unique is the gap test at
+    column n.
     """
     _, s, v = _thin_svd(c, False)
     s = _ldexp_in_range(s, exponent, "singular values")
@@ -69,20 +71,21 @@ def _tls_split(c: np.ndarray, n: int, exponent: int = 0):
     if s22[-1] > EXISTENCE_TOL:  # dividing before U22^T keeps p = 1 exact
         x = ((-v[:n, n:] @ v22) / s22) @ u22.T
     unique = n == 0 or bool((s[n - 1] - s[n]) > GAP_TOL * max(s[0], 1.0))
-    return s, v, x, v[:, n:] @ v22[:, -1], float(s22[-1]), unique
+    return s, v, x, v22[:, -1], float(s22[-1]), unique
 
 
 def _split_or_raise(c: np.ndarray, n: int, exponent: int = 0):
     """``_tls_split`` of C after column n as (s, v, x, unique), raising
     NoTlsSolutionError, with s22 and its threshold, when X does not exist;
-    ``c`` and ``exponent`` as for ``_tls_split``."""
-    s, v, x, null_vector, s22, unique = _tls_split(c, n, exponent)
+    ``c`` and ``exponent`` as for ``_tls_split``.  The null vector the
+    error carries, V[:, n:] z, is formed here and only then."""
+    s, v, x, z, s22, unique = _tls_split(c, n, exponent)
     if x is None:
         raise NoTlsSolutionError(
             "no TLS solution: the trailing block of the right singular "
             f"matrix is singular (smallest singular value {s22:.3e} <= "
             f"EXISTENCE_TOL {EXISTENCE_TOL:g})",
-            null_vector=Vector(null_vector),
+            null_vector=Vector(v[:, n:] @ z),
             sigma=Vector(s),
         )
     return s, v, x, unique

@@ -475,6 +475,44 @@ def test_thin_svd_of_one_column(column, with_u):
         assert not u.any()
 
 
+@pytest.mark.parametrize("m", [1, 40])
+def test_one_column_needs_no_sweeps(monkeypatch, m):
+    """One column is its own SVD, read off without a sweep, with U or
+    without: V = [[1]], sigma within 2 ulp of np.linalg.norm and exactly
+    scaled by 2^+-1000, U sigma the column again, sigma = 0 for a zero
+    column.  jacobi_svd of m x 1 and 1 x m (its transpose) needs no sweep
+    either, and keeps orthogonal square factors and the sign rule."""
+    def swept(*args):
+        raise AssertionError("a one-column SVD ran the sweeps")
+
+    monkeypatch.setattr(linalg, "_jacobi_pairs", swept)
+    monkeypatch.setattr(linalg, "_jacobi_rounds", swept)
+    a = np.random.default_rng(120 + m).standard_normal((m, 1)) * 3.0
+    norm = np.linalg.norm(a)
+    for with_u in (True, False):
+        u, s, v = _thin_svd(a, with_u)
+        assert v.tolist() == [[1.0]]
+        assert s.shape == (1,) and abs(s[0] - norm) <= 2 * np.spacing(norm)
+        for k in (1000, -1000):
+            assert _thin_svd(np.ldexp(a, k), with_u)[1] == np.ldexp(s, k)
+        zero_u, zero_s, _ = _thin_svd(np.zeros((m, 1)), with_u)
+        assert zero_s.tolist() == [0.0]
+        if with_u:
+            np.testing.assert_allclose(u * s, a, rtol=2 * np.finfo(float).eps,
+                                       atol=0.0)
+            assert not zero_u.any()
+        else:
+            assert u is None and zero_u is None
+    for b in (a, a.T):
+        svd = jacobi_svd(Matrix(b))
+        assert_svd_invariants(b, svd)
+        for q in (svd.u.array, svd.v.array):
+            assert np.linalg.norm(q.T @ q - np.eye(len(q))) <= 1e-14
+        v = svd.v.array
+        for j in range(v.shape[1]):
+            assert v[np.argmax(np.abs(v[:, j])), j] >= 0.0
+
+
 def test_round_robin_tables_are_cached_read_only():
     """The round-robin tables are built once per width and cannot be
     written; sweeping the same input twice gives the same bits, and the
