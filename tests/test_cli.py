@@ -1,5 +1,6 @@
 """CSV parsing, mode dispatch, exit codes and deterministic reports."""
 import csv
+import gc
 import json
 import math
 import subprocess
@@ -600,3 +601,33 @@ def test_cli_subprocess_examples_and_determinism(tmp_path):
     payload = json.loads(broken.stdout)
     assert payload["error"]["kind"] == "no_tls_solution"
     assert payload["singular_values"][-1] == 0.0
+
+
+# runpy runs tlsfit/__main__.py as `python -m tlsfit` does, then reports
+# the exit code and the frozen object count on stderr.
+ENTRY_SCRIPT = """
+import gc, runpy, sys
+sys.argv = ["fit", "tls-line", "--input", sys.argv[1]]
+try:
+    runpy.run_module("tlsfit", run_name="__main__")
+except SystemExit as exc:
+    sys.stderr.write(f"{exc.code} {gc.get_freeze_count()}\\n")
+"""
+
+
+def test_process_entry_freezes_the_import_heap(tmp_path, capsys):
+    path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
+    child = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT, path],
+                           capture_output=True)
+    code, frozen = map(int, child.stderr.split())
+    assert code == EXIT_OK and child.returncode == 0
+    assert frozen > 0
+    assert main(["tls-line", "--input", path]) == EXIT_OK
+    assert child.stdout.decode() == capsys.readouterr().out
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path, capsys):
+    path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
+    frozen = gc.get_freeze_count()
+    assert main(["tls-line", "--input", path]) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
