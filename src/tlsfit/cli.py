@@ -72,9 +72,6 @@ class FitReport(NamedTuple):
     expressible: Optional[bool] = None
     error: Optional[dict] = None
 
-    def fields(self):
-        return tuple(zip(self._fields, self))
-
 
 def _finite_number(cell: str) -> bool:
     try:
@@ -296,14 +293,12 @@ def _json_value(value) -> str:
 
 
 def render_json(report: FitReport) -> str:
-    body = ", ".join(f"{json.dumps(name)}: {_json_value(value)}"
-                     for name, value in report.fields())
-    return "{" + body + "}"
+    return _json_value(report._asdict())
 
 
 def render_text(report: FitReport) -> str:
     return "\n".join(f"{name}: {_json_value(value)}"
-                     for name, value in report.fields())
+                     for name, value in report._asdict().items())
 
 
 class _Parser(argparse.ArgumentParser):

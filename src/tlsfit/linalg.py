@@ -616,32 +616,23 @@ def _skew_exp(k: np.ndarray) -> np.ndarray:
     K is scaled by 2^-s so that ||K||_F <= 1/4, its exponential taken to
     the K^4 term of the Taylor series (the rest is below 1e-5), and
     squared s times; Newton-Schulz steps J <- J - J (J^T J - I) / 2 then
-    make J orthogonal to n u (unit roundoff u).  ``k`` is scaled in place,
-    and every product goes into one of three n x n buffers.
+    make J orthogonal to n u (unit roundoff u).  ``k`` is scaled in place.
     """
     n = len(k)
     eye = _step_tables(n)[0]
     s = max(0, math.frexp(math.sqrt(np.vdot(k, k)))[1] + 2)
     np.ldexp(k, -s, out=k)
-    j, spare, e = np.empty((3, n, n))
-    np.add(eye, np.divide(k, 4.0, out=j), out=j)
+    j = eye + k / 4.0
     for c in (3.0, 2.0, 1.0):  # Horner: I + K (I + K/2 (I + K/3 (I + K/4)))
-        np.matmul(k, j, out=spare)
-        spare /= c
-        spare += eye
-        j, spare = spare, j
+        j = (k @ j) / c + eye
     for _ in range(s):
-        np.matmul(j, j, out=spare)
-        j, spare = spare, j
+        j = j @ j
     limit = n * np.finfo(float).eps / 2
     for _ in range(_SCHULZ_MAX_STEPS):
-        np.matmul(j.T, j, out=e)
-        e -= eye
-        if np.maximum.reduce(np.abs(e, out=spare), axis=None) <= limit:
+        e = j.T @ j - eye
+        if np.abs(e).max() <= limit:
             break
-        np.matmul(j, e, out=spare)
-        spare *= 0.5
-        j -= spare
+        j = j - (j @ e) * 0.5
     return j
 
 
@@ -668,7 +659,7 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
     zeroes those of g_ii at most _FLUSH2 (nothing else zeroes them on
     these rounds); the largest off-diagonal ratio of the others decides.
     The sweeps stop when no pair fails.  Otherwise K_ij = g_ij /
-    (g_jj - g_ii), formed in place of G, is the skew first-order rotation
+    (g_jj - g_ii) is the skew first-order rotation
     that makes every pair orthogonal at once (Ogita & Aishima), and one
     product with J = ``_skew_exp(K)`` moves the whole of ``work``, W and
     the columns that follow it: a product step.  The first order is no
@@ -726,15 +717,13 @@ def _jacobi_rounds(work: np.ndarray, m: int) -> bool:
                 break
             budget -= 1
             fails = ratio > JACOBI_OFFDIAG_TOL
-            # K in place of G, over g_jj - g_ii in place of the ratios.
-            diag = gram.diagonal().copy()
+            diag = gram.diagonal()
             with np.errstate(divide="ignore", invalid="ignore"):
-                k = np.divide(gram, np.subtract(diag, diag[:, None],
-                                                out=ratio), out=gram)
+                k = gram / (diag - diag[:, None])
             # False on the diagonal (g_ii / 0), between zeroed columns.
-            small = np.abs(k, out=ratio) <= _STEP_MAX
-            stepped = np.logical_and(fails, small).any()
-            left_out = np.logical_not(small, out=small)
+            small = np.abs(k) <= _STEP_MAX
+            stepped = (fails & small).any()
+            left_out = ~small
             if stepped:
                 k[left_out] = 0.0
                 np.matmul(_skew_exp(k).T, cur[0], out=nxt[0])

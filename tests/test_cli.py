@@ -539,6 +539,8 @@ def test_json_report_is_valid_and_stable(tmp_path):
     assert parsed["unique"] is False
     report2, _ = run(request)
     assert render_json(report2) == text
+    with pytest.raises(TypeError, match="cannot serialize"):
+        render_json(report._replace(objective=1j))
 
 
 def test_text_format_mirrors_json_fields(tmp_path):
@@ -547,7 +549,7 @@ def test_text_format_mirrors_json_fields(tmp_path):
     report, _ = run(request)
     lines = render_text(report).splitlines()
     names = [line.split(":", 1)[0] for line in lines]
-    assert names == [name for name, _ in report.fields()]
+    assert names == list(FitReport._fields)
 
 
 def test_main_writes_report(tmp_path, capsys):
