@@ -14,9 +14,7 @@ import io
 import json
 import math
 import sys
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (
     ConvergenceError,
@@ -29,11 +27,9 @@ from .errors import (
     RangeError,
     RankDeficiencyError,
 )
-from .extensions import solve_tls_fixed, solve_tls_multi
-from .geometry import PointCloud, fit_hyperplane_tls
-from .linalg import Matrix, Vector, _sum_of_squares
-from .ols import Method, solve_ols
-from .system import solve_tls_system
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
 
 __all__ = ["FitRequest", "FitReport", "parse_csv", "run", "main", "entry"]
 
@@ -140,15 +136,20 @@ def parse_csv(path: str) -> Matrix:
                           line=next_line) from None
     if not values:
         raise EmptyDataError(f"{path}: no numeric data rows")
+    from .linalg import Matrix
     return Matrix(values)
 
 
-# Each _fit_* helper returns the report fields its mode fills.
+# Each _fit_* helper returns the report fields its mode fills.  It imports
+# its own solver module, so a process loads only the modes it runs.
 
 
 def _fit_ols(data: Matrix, request: FitRequest) -> dict:
     if data.cols < 2:
         raise DimensionError("ols: need at least 2 columns (x..., y)")
+    import numpy as np
+    from .linalg import Matrix, Vector, _sum_of_squares
+    from .ols import Method, solve_ols
     arr = data.array
     design = Matrix(np.column_stack([np.ones(data.rows), arr[:, :-1]]))
     solution = solve_ols(design, Vector(arr[:, -1]), Method.SVD)
@@ -163,6 +164,7 @@ def _fit_geometry(data: Matrix, request: FitRequest) -> dict:
     if request.mode == "tls-line" and data.cols != 2:
         raise DimensionError(
             f"tls-line: need exactly 2 columns, got {data.cols}")
+    from .geometry import PointCloud, fit_hyperplane_tls
     fit = fit_hyperplane_tls(PointCloud(data))
     explicit = fit.explicit_coeffs
     return dict(
@@ -180,6 +182,8 @@ def _fit_system(data: Matrix, request: FitRequest) -> dict:
         raise DimensionError("tls-system: exactly one right-hand-side column")
     if data.cols < 2:
         raise DimensionError("tls-system: need at least 2 columns")
+    from .linalg import Matrix, Vector, _sum_of_squares
+    from .system import solve_tls_system
     arr = data.array
     solution = solve_tls_system(Matrix(arr[:, :-1]), Vector(arr[:, -1]))
     return dict(
@@ -194,6 +198,8 @@ def _fit_multi(data: Matrix, request: FitRequest) -> dict:
     if not 1 <= p <= data.cols - 1:
         raise DimensionError(
             f"tls-multi: rhs-cols must be in [1, {data.cols - 1}], got {p}")
+    from .extensions import solve_tls_multi
+    from .linalg import Matrix, _sum_of_squares
     arr = data.array
     solution = solve_tls_multi(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
     s = solution.sigma.array
@@ -210,6 +216,9 @@ def _fit_fixed(data: Matrix, request: FitRequest) -> dict:
         raise DimensionError(
             f"tls-fixed: need 0 <= frozen-cols and frozen-cols + rhs-cols "
             f"< {data.cols}, got {j} + {p}")
+    import numpy as np
+    from .extensions import solve_tls_fixed
+    from .linalg import Matrix
     arr = data.array
     solution = solve_tls_fixed(
         Matrix(arr[:, :j]), Matrix(arr[:, j:data.cols - p]),
@@ -335,21 +344,27 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """Process entry of `fit` and `python -m tlsfit`: ``main()`` with the
-    import-time heap frozen.
+    """Process entry of `fit` and `python -m tlsfit`: ``main()``, then the
+    heap frozen for shutdown.
 
+    ``main`` imports only what the request runs: an input or usage error
+    loads no numpy, and a fit loads ``linalg`` and its mode's solvers.
     The ~21 500 objects that numpy and tlsfit create at import live until
-    exit, yet every collection during the fit and the interpreter's
-    shutdown collections traverse them again.  ``gc.freeze()`` moves them
-    to the permanent generation; finalizers, flushes and atexit handlers
-    still run.  Medians of 30 fresh processes, one BLAS thread:
-    ``import tlsfit.cli`` took 135.1 ms, 119.3 ms with ``gc.freeze()``,
-    115.9 ms with ``os._exit(0)`` (which skips flushes and atexit) and
-    130.2 ms with ``gc.disable()`` (which shutdown ignores).  ``main``
-    called in process leaves the caller's collector alone.
+    exit, yet the interpreter's shutdown collections traverse them again.
+    ``gc.freeze()`` after the fit moves them to the permanent generation,
+    so shutdown skips them; finalizers, flushes and atexit handlers still
+    run.  ``main`` called in process leaves the caller's collector alone.
+
+    Medians of 15 fresh ``python -m tlsfit`` processes per file of the
+    benchmark's CLI corpus, one BLAS thread, 2-core Xeon, with imports at
+    the top of this module and the freeze before ``main`` -> as here:
+    ols 300x10 102.2 -> 98.0 ms, tls-line 1000x2 103.1 -> 98.1 ms,
+    tls-system 1000x8 113.5 -> 107.8 ms, tls-fixed 300x8 106.7 ->
+    102.3 ms, a file with a non-numeric cell 103.2 -> 41.2 ms.
     """
+    code = main()
     gc.freeze()
-    return main()
+    return code
 
 
 if __name__ == "__main__":

@@ -401,7 +401,8 @@ def test_memory_error_is_a_typed_report(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError()
 
-    monkeypatch.setattr("tlsfit.cli.solve_tls_system", exhausted)
+    # The CLI looks the solver up in its module when the fit runs.
+    monkeypatch.setattr("tlsfit.system.solve_tls_system", exhausted)
     path = write(tmp_path, "e1.csv", SQUARE_CSV)
     report, code = run(FitRequest(mode="tls-system", input_path=path))
     assert code == EXIT_INPUT_ERROR
@@ -606,26 +607,82 @@ def test_cli_subprocess_examples_and_determinism(tmp_path):
 
 
 # runpy runs tlsfit/__main__.py as `python -m tlsfit` does, then reports
-# the exit code and the frozen object count on stderr.
+# the exit code, the frozen object count and the modules loaded (numpy
+# and tlsfit.*) on a last line of stderr.
 ENTRY_SCRIPT = """
 import gc, runpy, sys
-sys.argv = ["fit", "tls-line", "--input", sys.argv[1]]
+sys.argv = ["fit", *sys.argv[1:]]
 try:
     runpy.run_module("tlsfit", run_name="__main__")
 except SystemExit as exc:
-    sys.stderr.write(f"{exc.code} {gc.get_freeze_count()}\\n")
+    loaded = " ".join(name for name in sorted(sys.modules)
+                      if name == "numpy" or name.startswith("tlsfit."))
+    sys.stderr.write(f"{exc.code} {gc.get_freeze_count()} {loaded}\\n")
 """
+
+
+def process_entry(capsys, argv):
+    """Exit code, frozen count and loaded modules of one fresh process
+    that runs ``argv``; its stdout and stderr must be those of ``main``
+    called in this process."""
+    child = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT, *argv],
+                           capture_output=True, text=True)
+    assert child.returncode == 0
+    *err, last = child.stderr.splitlines(keepends=True)
+    code, frozen, *loaded = last.split()
+    try:
+        expected = main(argv)
+    except SystemExit as exc:
+        expected = exc.code
+    captured = capsys.readouterr()
+    assert int(code) == expected
+    assert (child.stdout, "".join(err)) == (captured.out, captured.err)
+    return int(code), int(frozen), loaded
 
 
 def test_process_entry_freezes_the_import_heap(tmp_path, capsys):
     path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
-    child = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT, path],
-                           capture_output=True)
-    code, frozen = map(int, child.stderr.split())
-    assert code == EXIT_OK and child.returncode == 0
-    assert frozen > 0
-    assert main(["tls-line", "--input", path]) == EXIT_OK
-    assert child.stdout.decode() == capsys.readouterr().out
+    code, frozen, _ = process_entry(capsys, ["tls-line", "--input", path])
+    assert code == EXIT_OK
+    # The freeze comes after the fit, so it covers numpy's import heap.
+    assert frozen > 10_000
+
+
+@pytest.mark.parametrize("argv", [["ols", "--input", "bad.csv"],
+                                  ["warp", "--input", "bad.csv"]],
+                         ids=["malformed", "unknown-mode"])
+def test_input_errors_load_no_numpy(tmp_path, capsys, monkeypatch, argv):
+    write(tmp_path, "bad.csv", "x,y\n1,n/a\n")
+    monkeypatch.chdir(tmp_path)
+    code, _, loaded = process_entry(capsys, argv)
+    assert code == EXIT_INPUT_ERROR
+    assert loaded == ["tlsfit.cli", "tlsfit.errors"]
+
+
+# The solver modules each mode loads besides cli, errors, linalg and
+# tolerances.
+MODE_MODULES = {
+    "ols": ["ols"],
+    "tls-line": ["geometry", "system"],
+    "tls-plane": ["geometry", "system"],
+    "tls-system": ["system"],
+    "tls-multi": ["extensions", "system"],
+    "tls-fixed": ["extensions", "system"],
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_loads_only_its_modules(tmp_path, capsys, mode):
+    cols = 2 if mode == "tls-line" else 3
+    points = np.random.default_rng(29).standard_normal((8, cols))
+    path = write(tmp_path, "data.csv", "".join(
+        ",".join(repr(float(x)) for x in row) + "\n" for row in points))
+    # Only tls-fixed reads --frozen-cols.
+    code, _, loaded = process_entry(
+        capsys, [mode, "--input", path, "--frozen-cols", "1"])
+    assert code == EXIT_OK
+    modules = {"cli", "errors", "linalg", "tolerances", *MODE_MODULES[mode]}
+    assert loaded == ["numpy", *sorted(f"tlsfit.{m}" for m in modules)]
 
 
 def test_main_in_process_leaves_the_collector_alone(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Result records, FitRequest and FitReport: immutable named tuples."""
+import json
 import pathlib
 import re
 import subprocess
@@ -93,3 +94,43 @@ def test_importing_the_cli_loads_no_dataclasses():
                             text=True, check=True).stdout
     assert "'tlsfit.cli'" in loaded
     assert "dataclasses" not in loaded
+
+
+PACKAGE_SCRIPT = """
+import json, sys
+import tlsfit
+facts = {"numpy": "numpy" in sys.modules}
+namespace = {}
+exec("from tlsfit import *", namespace)
+facts["all"] = tlsfit.__all__
+facts["star"] = sorted(set(namespace) - {"__builtins__"})
+facts["dir"] = dir(tlsfit)
+facts["same"] = all(getattr(tlsfit, name) is getattr(module, name)
+                    for module in (tlsfit.errors, tlsfit.extensions,
+                                   tlsfit.geometry, tlsfit.linalg, tlsfit.ols,
+                                   tlsfit.system)
+                    for name in module.__all__)
+try:
+    tlsfit.no_such_name
+except AttributeError:
+    facts["unknown"] = "AttributeError"
+print(json.dumps(facts))
+"""
+
+
+def test_package_names_load_on_first_use():
+    """``import tlsfit`` alone loads no numpy; the first use of ``__all__``
+    binds every public name of the six library modules, in their order."""
+    from tlsfit import errors, extensions, geometry, linalg, ols, system
+    public = [name for module in (errors, extensions, geometry, linalg, ols,
+                                  system) for name in module.__all__]
+    assert len(set(public)) == len(public)
+    facts = json.loads(subprocess.run(
+        [sys.executable, "-c", PACKAGE_SCRIPT], capture_output=True,
+        text=True, check=True).stdout)
+    assert facts["numpy"] is False
+    assert facts["all"] == public
+    assert facts["star"] == sorted(public)
+    assert set(public) <= set(facts["dir"])
+    assert facts["same"] is True
+    assert facts["unknown"] == "AttributeError"
