@@ -41,4 +41,5 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__getattr__("__all__")})
+    __getattr__("__all__")  # binds the public names before they are listed
+    return sorted(globals())

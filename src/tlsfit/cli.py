@@ -140,100 +140,9 @@ def parse_csv(path: str) -> Matrix:
     return Matrix(values)
 
 
-# Each _fit_* helper returns the report fields its mode fills.  It imports
-# its own solver module, so a process loads only the modes it runs.
-
-
-def _fit_ols(data: Matrix, request: FitRequest) -> dict:
-    if data.cols < 2:
-        raise DimensionError("ols: need at least 2 columns (x..., y)")
-    import numpy as np
-    from .linalg import Matrix, Vector, _sum_of_squares
-    from .ols import Method, solve_ols
-    arr = data.array
-    design = Matrix(np.column_stack([np.ones(data.rows), arr[:, :-1]]))
-    solution = solve_ols(design, Vector(arr[:, -1]), Method.SVD)
-    return dict(
-        coefficients=solution.coefficients.array.tolist(),
-        objective=_sum_of_squares(solution.residual_norm, "objective"),
-        singular_values=solution.sigma.array.tolist(),
-        unique=not solution.rank_deficient)
-
-
-def _fit_geometry(data: Matrix, request: FitRequest) -> dict:
-    if request.mode == "tls-line" and data.cols != 2:
-        raise DimensionError(
-            f"tls-line: need exactly 2 columns, got {data.cols}")
-    from .geometry import PointCloud, fit_hyperplane_tls
-    fit = fit_hyperplane_tls(PointCloud(data))
-    explicit = fit.explicit_coeffs
-    return dict(
-        coefficients=None if explicit is None else explicit.array.tolist(),
-        normal=fit.normal.array.tolist(),
-        centroid=fit.centroid.array.tolist(),
-        objective=fit.objective,
-        singular_values=fit.sigma.array.tolist(),
-        unique=fit.unique,
-        expressible=fit.expressible)
-
-
-def _fit_system(data: Matrix, request: FitRequest) -> dict:
-    if request.rhs_cols != 1:
-        raise DimensionError("tls-system: exactly one right-hand-side column")
-    if data.cols < 2:
-        raise DimensionError("tls-system: need at least 2 columns")
-    from .linalg import Matrix, Vector, _sum_of_squares
-    from .system import solve_tls_system
-    arr = data.array
-    solution = solve_tls_system(Matrix(arr[:, :-1]), Vector(arr[:, -1]))
-    return dict(
-        coefficients=solution.coefficients.array.tolist(),
-        objective=_sum_of_squares(solution.tls_residual, "objective"),
-        singular_values=solution.sigma.array.tolist(),
-        unique=solution.unique)
-
-
-def _fit_multi(data: Matrix, request: FitRequest) -> dict:
-    p = request.rhs_cols
-    if not 1 <= p <= data.cols - 1:
-        raise DimensionError(
-            f"tls-multi: rhs-cols must be in [1, {data.cols - 1}], got {p}")
-    from .extensions import solve_tls_multi
-    from .linalg import Matrix, _sum_of_squares
-    arr = data.array
-    solution = solve_tls_multi(Matrix(arr[:, :-p]), Matrix(arr[:, -p:]))
-    s = solution.sigma.array
-    return dict(
-        coefficients=solution.x.array.tolist(),
-        objective=_sum_of_squares(s[data.cols - p:], "objective"),
-        singular_values=s.tolist(),
-        unique=solution.unique)
-
-
-def _fit_fixed(data: Matrix, request: FitRequest) -> dict:
-    j, p = request.frozen_cols, request.rhs_cols
-    if j < 0 or p < 1 or j + p >= data.cols:
-        raise DimensionError(
-            f"tls-fixed: need 0 <= frozen-cols and frozen-cols + rhs-cols "
-            f"< {data.cols}, got {j} + {p}")
-    import numpy as np
-    from .extensions import solve_tls_fixed
-    from .linalg import Matrix
-    arr = data.array
-    solution = solve_tls_fixed(
-        Matrix(arr[:, :j]), Matrix(arr[:, j:data.cols - p]),
-        Matrix(arr[:, data.cols - p:]))
-    return dict(
-        coefficients=np.vstack(
-            [solution.x1.array, solution.x2.array]).tolist(),
-        objective=solution.minimized_value,
-        unique=solution.x1_unique)
-
-
-_FITS = {"ols": _fit_ols, "tls-line": _fit_geometry,
-         "tls-plane": _fit_geometry, "tls-system": _fit_system,
-         "tls-multi": _fit_multi, "tls-fixed": _fit_fixed}
-MODES = tuple(_FITS)
+# Each mode is fitted by its function in _fits.FITS.
+MODES = ("ols", "tls-line", "tls-plane", "tls-system", "tls-multi",
+         "tls-fixed")
 
 
 _ERROR_KINDS = (
@@ -261,7 +170,8 @@ def run(request: FitRequest):
         if request.mode not in MODES:
             raise ValueError(f"unknown mode {request.mode!r}")
         data = parse_csv(request.input_path)
-        filled = _FITS[request.mode](data, request)
+        from ._fits import FITS
+        filled = FITS[request.mode](data, request)
     except NoTlsSolutionError as exc:
         return FitReport(
             mode=request.mode,
@@ -347,20 +257,16 @@ def entry() -> int:
     """Process entry of `fit` and `python -m tlsfit`: ``main()``, then the
     heap frozen for shutdown.
 
-    ``main`` imports only what the request runs: an input or usage error
-    loads no numpy, and a fit loads ``linalg`` and its mode's solvers.
-    The ~21 500 objects that numpy and tlsfit create at import live until
-    exit, yet the interpreter's shutdown collections traverse them again.
+    ``main`` loads numpy and the solvers only once the input has parsed,
+    so an input or usage error is reported without them.  The ~21 500
+    objects that numpy and tlsfit create at import live until exit, yet
+    the interpreter's shutdown collections traverse them again.
     ``gc.freeze()`` after the fit moves them to the permanent generation,
     so shutdown skips them; finalizers, flushes and atexit handlers still
-    run.  ``main`` called in process leaves the caller's collector alone.
-
-    Medians of 15 fresh ``python -m tlsfit`` processes per file of the
-    benchmark's CLI corpus, one BLAS thread, 2-core Xeon, with imports at
-    the top of this module and the freeze before ``main`` -> as here:
-    ols 300x10 102.2 -> 98.0 ms, tls-line 1000x2 103.1 -> 98.1 ms,
-    tls-system 1000x8 113.5 -> 107.8 ms, tls-fixed 300x8 106.7 ->
-    102.3 ms, a file with a non-numeric cell 103.2 -> 41.2 ms.
+    run.  A tls-system fit of a 1000x8 file took 123.9 ms with the freeze
+    and 142.1 ms without it (medians of 15 alternating fresh processes,
+    one BLAS thread, 2-core Xeon).  ``main`` called in process leaves the
+    caller's collector alone.
     """
     code = main()
     gc.freeze()

@@ -401,8 +401,7 @@ def test_memory_error_is_a_typed_report(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError()
 
-    # The CLI looks the solver up in its module when the fit runs.
-    monkeypatch.setattr("tlsfit.system.solve_tls_system", exhausted)
+    monkeypatch.setattr("tlsfit._fits.solve_tls_system", exhausted)
     path = write(tmp_path, "e1.csv", SQUARE_CSV)
     report, code = run(FitRequest(mode="tls-system", input_path=path))
     assert code == EXIT_INPUT_ERROR
@@ -642,8 +641,12 @@ def process_entry(capsys, argv):
 
 def test_process_entry_freezes_the_import_heap(tmp_path, capsys):
     path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
-    code, frozen, _ = process_entry(capsys, ["tls-line", "--input", path])
+    code, frozen, loaded = process_entry(capsys,
+                                         ["tls-line", "--input", path])
     assert code == EXIT_OK
+    assert loaded == ["numpy", *(f"tlsfit.{module}" for module in (
+        "_fits", "cli", "errors", "extensions", "geometry", "linalg", "ols",
+        "system", "tolerances"))]
     # The freeze comes after the fit, so it covers numpy's import heap.
     assert frozen > 10_000
 
@@ -657,32 +660,6 @@ def test_input_errors_load_no_numpy(tmp_path, capsys, monkeypatch, argv):
     code, _, loaded = process_entry(capsys, argv)
     assert code == EXIT_INPUT_ERROR
     assert loaded == ["tlsfit.cli", "tlsfit.errors"]
-
-
-# The solver modules each mode loads besides cli, errors, linalg and
-# tolerances.
-MODE_MODULES = {
-    "ols": ["ols"],
-    "tls-line": ["geometry", "system"],
-    "tls-plane": ["geometry", "system"],
-    "tls-system": ["system"],
-    "tls-multi": ["extensions", "system"],
-    "tls-fixed": ["extensions", "system"],
-}
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_each_mode_loads_only_its_modules(tmp_path, capsys, mode):
-    cols = 2 if mode == "tls-line" else 3
-    points = np.random.default_rng(29).standard_normal((8, cols))
-    path = write(tmp_path, "data.csv", "".join(
-        ",".join(repr(float(x)) for x in row) + "\n" for row in points))
-    # Only tls-fixed reads --frozen-cols.
-    code, _, loaded = process_entry(
-        capsys, [mode, "--input", path, "--frozen-cols", "1"])
-    assert code == EXIT_OK
-    modules = {"cli", "errors", "linalg", "tolerances", *MODE_MODULES[mode]}
-    assert loaded == ["numpy", *sorted(f"tlsfit.{m}" for m in modules)]
 
 
 def test_main_in_process_leaves_the_collector_alone(tmp_path, capsys):

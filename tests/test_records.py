@@ -86,13 +86,16 @@ def test_report_fields_follow_the_readme_key_order():
 
 
 def test_importing_the_cli_loads_no_dataclasses():
-    """The records are named tuples, so importing the package and its CLI
-    generates no dataclass code."""
-    code = ("import sys; before = set(sys.modules); import tlsfit.cli; "
+    """The records are named tuples, so importing the CLI and every library
+    module (which ``tlsfit.__all__`` loads) generates no dataclass code."""
+    code = ("import sys; before = set(sys.modules); import tlsfit.cli, "
+            "tlsfit; tlsfit.__all__; "
             "print(sorted(set(sys.modules) - before))")
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True).stdout
-    assert "'tlsfit.cli'" in loaded
+    for module in ("cli", "errors", "extensions", "geometry", "linalg", "ols",
+                   "system", "tolerances"):
+        assert f"'tlsfit.{module}'" in loaded
     assert "dataclasses" not in loaded
 
 
@@ -100,6 +103,7 @@ PACKAGE_SCRIPT = """
 import json, sys
 import tlsfit
 facts = {"numpy": "numpy" in sys.modules}
+facts["first_dir"] = dir(tlsfit)
 namespace = {}
 exec("from tlsfit import *", namespace)
 facts["all"] = tlsfit.__all__
@@ -131,6 +135,6 @@ def test_package_names_load_on_first_use():
     assert facts["numpy"] is False
     assert facts["all"] == public
     assert facts["star"] == sorted(public)
-    assert set(public) <= set(facts["dir"])
+    assert set(public) <= set(facts["first_dir"]) == set(facts["dir"])
     assert facts["same"] is True
     assert facts["unknown"] == "AttributeError"
