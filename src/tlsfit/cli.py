@@ -8,11 +8,13 @@ floats rendered with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import gc
 import io
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -254,23 +256,39 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """Process entry of `fit` and `python -m tlsfit`: ``main()``, then the
-    heap frozen for shutdown.
+    """Process entry of `fit` and `python -m tlsfit`: ``main()`` with the
+    cyclic collector off, then an exit that skips the interpreter's
+    teardown.
 
-    ``main`` loads numpy and the solvers only once the input has parsed,
-    so an input or usage error is reported without them.  The ~21 500
-    objects that numpy and tlsfit create at import live until exit, yet
-    the interpreter's shutdown collections traverse them again.
-    ``gc.freeze()`` after the fit moves them to the permanent generation,
-    so shutdown skips them; finalizers, flushes and atexit handlers still
-    run.  A tls-system fit of a 1000x8 file took 123.9 ms with the freeze
-    and 142.1 ms without it (medians of 15 alternating fresh processes,
-    one BLAS thread, 2-core Xeon).  ``main`` called in process leaves the
-    caller's collector alone.
+    A process serves one request, and reference counting frees what it
+    allocates, so the collector would only walk numpy's import heap and
+    the fit's arrays: 33-34 passes (two of the middle generation) and
+    4.4-5.7 ms a process with it on, against the 2 young passes (0.2-0.4
+    ms) of the CLI import, which runs before ``entry``.  After ``main``
+    the atexit handlers run and stdout and stderr are flushed, as at a
+    normal exit, and ``os._exit`` then skips module teardown: 1.4-2.6 ms
+    from the end of ``main`` until the parent wakes, against 3.8-8.8 ms
+    for a normal exit with the heap frozen by ``gc.freeze()`` (medians of
+    40 runs per file, 2-core Xeon).  A tracer, a profiler or a second
+    thread gets the normal exit, and so does a failed flush, which the
+    normal exit reports.  ``main`` called in process leaves the caller's
+    collector alone.
     """
+    gc.disable()
     code = main()
-    gc.freeze()
-    return code
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: cProfile's hook
+    if (sys.gettrace() is not None or sys.getprofile() is not None
+            or len(sys._current_frames()) > 1
+            or monitoring is not None and any(
+                monitoring.get_tool(tool) is not None for tool in range(6))):
+        return code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

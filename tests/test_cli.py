@@ -3,6 +3,7 @@ import csv
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -605,50 +606,71 @@ def test_cli_subprocess_examples_and_determinism(tmp_path):
     assert payload["singular_values"][-1] == 0.0
 
 
-# runpy runs tlsfit/__main__.py as `python -m tlsfit` does, then reports
-# the exit code, the frozen object count and the modules loaded (numpy
-# and tlsfit.*) on a last line of stderr.
+# runpy runs tlsfit/__main__.py as `python -m tlsfit` does.  The child
+# watches the collector from before the CLI import, but counts its passes
+# from the call of `entry` on: the import itself runs with the collector
+# on.  Its last line of stderr is how the process left (os._exit, wrapped
+# here, or SystemExit), the exit code, the passes and the modules loaded
+# (numpy and tlsfit.*).
 ENTRY_SCRIPT = """
-import gc, runpy, sys
+import gc, os, runpy, sys
+passes = []
+gc.callbacks.append(
+    lambda phase, info: phase == "start" and passes.append(info["generation"]))
+import tlsfit.cli
+entry = tlsfit.cli.entry
+def counted_entry():
+    passes.clear()
+    return entry()
+tlsfit.cli.entry = counted_entry
+def report(how, code):
+    loaded = " ".join(name for name in sorted(sys.modules)
+                      if name == "numpy" or name.startswith("tlsfit."))
+    sys.stderr.write(f"{how} {code} {len(passes)} {loaded}\\n")
+    sys.stderr.flush()
+exit_now = os._exit
+def _exit(code):
+    report("_exit", code)
+    exit_now(code)
+os._exit = _exit
 sys.argv = ["fit", *sys.argv[1:]]
 try:
     runpy.run_module("tlsfit", run_name="__main__")
 except SystemExit as exc:
-    loaded = " ".join(name for name in sorted(sys.modules)
-                      if name == "numpy" or name.startswith("tlsfit."))
-    sys.stderr.write(f"{exc.code} {gc.get_freeze_count()} {loaded}\\n")
+    report("SystemExit", exc.code)
+    raise
 """
 
 
-def process_entry(capsys, argv):
-    """Exit code, frozen count and loaded modules of one fresh process
-    that runs ``argv``; its stdout and stderr must be those of ``main``
-    called in this process."""
-    child = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT, *argv],
-                           capture_output=True, text=True)
-    assert child.returncode == 0
+def process_entry(capsys, argv, prelude="", env=None):
+    """How one fresh process that runs ``argv`` left, its exit code, its
+    collector passes from ``entry`` on and the modules it loaded; its exit
+    code, stdout and stderr must be those of ``main`` called in this
+    process.  ``prelude`` runs in the child before the CLI import."""
+    child = subprocess.run(
+        [sys.executable, "-c", prelude + ENTRY_SCRIPT, *argv],
+        capture_output=True, text=True, env=env)
     *err, last = child.stderr.splitlines(keepends=True)
-    code, frozen, *loaded = last.split()
+    how, code, passes, *loaded = last.split()
     try:
         expected = main(argv)
     except SystemExit as exc:
         expected = exc.code
     captured = capsys.readouterr()
-    assert int(code) == expected
-    assert (child.stdout, "".join(err)) == (captured.out, captured.err)
-    return int(code), int(frozen), loaded
+    assert child.returncode == int(code) == expected
+    assert "".join(err) == captured.err
+    assert child.stdout.startswith(captured.out)
+    return how, int(code), int(passes), loaded, child.stdout[len(captured.out):]
 
 
-def test_process_entry_freezes_the_import_heap(tmp_path, capsys):
+def test_process_entry_collects_nothing_and_skips_teardown(tmp_path, capsys):
     path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
-    code, frozen, loaded = process_entry(capsys,
-                                         ["tls-line", "--input", path])
-    assert code == EXIT_OK
+    how, code, passes, loaded, rest = process_entry(
+        capsys, ["tls-line", "--input", path])
+    assert (how, code, passes, rest) == ("_exit", EXIT_OK, 0, "")
     assert loaded == ["numpy", *(f"tlsfit.{module}" for module in (
         "_fits", "cli", "errors", "extensions", "geometry", "linalg", "ols",
         "system", "tolerances"))]
-    # The freeze comes after the fit, so it covers numpy's import heap.
-    assert frozen > 10_000
 
 
 @pytest.mark.parametrize("argv", [["ols", "--input", "bad.csv"],
@@ -657,13 +679,74 @@ def test_process_entry_freezes_the_import_heap(tmp_path, capsys):
 def test_input_errors_load_no_numpy(tmp_path, capsys, monkeypatch, argv):
     write(tmp_path, "bad.csv", "x,y\n1,n/a\n")
     monkeypatch.chdir(tmp_path)
-    code, _, loaded = process_entry(capsys, argv)
-    assert code == EXIT_INPUT_ERROR
+    _, code, passes, loaded, _ = process_entry(capsys, argv)
+    assert (code, passes) == (EXIT_INPUT_ERROR, 0)
     assert loaded == ["tlsfit.cli", "tlsfit.errors"]
+
+
+def test_process_entry_runs_atexit_handlers_before_its_flush(tmp_path,
+                                                             capsys):
+    # With stdout buffered, a flush before the handlers would lose their
+    # output at os._exit.
+    path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    how, code, _, _, rest = process_entry(
+        capsys, ["tls-line", "--input", path],
+        prelude="import atexit\natexit.register(print, 'handler ran')\n",
+        env=env)
+    assert (how, code, rest) == ("_exit", EXIT_OK, "handler ran\n")
+
+
+def test_second_thread_gets_the_normal_exit(tmp_path, capsys):
+    # The thread prints once the main thread has ended, which only the
+    # interpreter's own exit lets it see.
+    path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
+    how, code, _, _, rest = process_entry(
+        capsys, ["tls-line", "--input", path],
+        prelude="import threading\nthreading.Thread(target=lambda: ("
+                "threading.main_thread().join(), print('after main'))).start()\n")
+    assert (how, code, rest) == ("SystemExit", EXIT_OK, "after main\n")
+
+
+def test_profiled_process_takes_the_normal_exit(tmp_path):
+    # cProfile writes its table after the module returns: os._exit in
+    # `entry` would lose it.
+    path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
+    child = subprocess.run([sys.executable, "-m", "cProfile", "-m", "tlsfit",
+                            "tls-line", "--input", path],
+                           capture_output=True, text=True)
+    report, table = child.stdout.split("\n", 1)
+    assert child.returncode == EXIT_OK
+    assert json.loads(report)["error"] is None
+    assert "function calls" in table and "Ordered by" in table
+
+
+@pytest.mark.parametrize("unbuffered, code, kind", [
+    (False, 120, "Exception ignored in"), (True, 1, "Traceback")],
+    ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_reported_as_by_the_interpreter(tmp_path, unbuffered,
+                                                         code, kind):
+    # A buffered report fails in the flush after `main`, an unbuffered one
+    # in `main`'s write; either way the interpreter's own report stands.
+    path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "tlsfit", "tls-line", "--input", path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert child.returncode == code
+    assert child.stderr.startswith(kind)
+    assert child.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 def test_main_in_process_leaves_the_collector_alone(tmp_path, capsys):
     path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
-    frozen = gc.get_freeze_count()
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     assert main(["tls-line", "--input", path]) == EXIT_OK
-    assert gc.get_freeze_count() == frozen
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
