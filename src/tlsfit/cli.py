@@ -262,17 +262,12 @@ def entry() -> int:
 
     A process serves one request, and reference counting frees what it
     allocates, so the collector would only walk numpy's import heap and
-    the fit's arrays: 33-34 passes (two of the middle generation) and
-    4.4-5.7 ms a process with it on, against the 2 young passes (0.2-0.4
-    ms) of the CLI import, which runs before ``entry``.  After ``main``
-    the atexit handlers run and stdout and stderr are flushed, as at a
-    normal exit, and ``os._exit`` then skips module teardown: 1.4-2.6 ms
-    from the end of ``main`` until the parent wakes, against 3.8-8.8 ms
-    for a normal exit with the heap frozen by ``gc.freeze()`` (medians of
-    40 runs per file, 2-core Xeon).  A tracer, a profiler or a second
-    thread gets the normal exit, and so does a failed flush, which the
-    normal exit reports.  ``main`` called in process leaves the caller's
-    collector alone.
+    the fit's arrays.  After ``main`` the atexit handlers run and stdout
+    and stderr are flushed, as at a normal exit, and ``os._exit`` then
+    skips module teardown.  A tracer, a profiler or a second thread gets
+    the normal exit, and so does a failed flush, which the normal exit
+    reports.  ``main`` called in process leaves the caller's collector
+    alone.  CHANGES.md gives the measured saving.
     """
     gc.disable()
     code = main()

@@ -679,8 +679,8 @@ def test_process_entry_collects_nothing_and_skips_teardown(tmp_path, capsys):
 def test_input_errors_load_no_numpy(tmp_path, capsys, monkeypatch, argv):
     write(tmp_path, "bad.csv", "x,y\n1,n/a\n")
     monkeypatch.chdir(tmp_path)
-    _, code, passes, loaded, _ = process_entry(capsys, argv)
-    assert (code, passes) == (EXIT_INPUT_ERROR, 0)
+    _, code, passes, loaded, rest = process_entry(capsys, argv)
+    assert (code, passes, rest) == (EXIT_INPUT_ERROR, 0, "")
     assert loaded == ["tlsfit.cli", "tlsfit.errors"]
 
 
