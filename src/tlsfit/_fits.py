@@ -78,7 +78,7 @@ def _fit_multi(data: Matrix, request: FitRequest) -> dict:
 
 def _fit_fixed(data: Matrix, request: FitRequest) -> dict:
     j, p = request.frozen_cols, request.rhs_cols
-    if j < 0 or p < 1 or j + p >= data.cols:
+    if j < 0 or j + p >= data.cols:
         raise DimensionError(
             f"tls-fixed: need 0 <= frozen-cols and frozen-cols + rhs-cols "
             f"< {data.cols}, got {j} + {p}")

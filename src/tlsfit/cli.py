@@ -110,7 +110,7 @@ def parse_csv(path: str) -> Matrix:
     try:
         for record in rows:
             lineno, next_line = next_line, rows.line_num + 1
-            if not record or all(cell.strip() == "" for cell in record):
+            if all(cell.strip() == "" for cell in record):
                 continue
             try:
                 parsed = [float(cell.strip()) for cell in record]

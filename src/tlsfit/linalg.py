@@ -559,7 +559,9 @@ def _array_rotations(h: int):
     returns the function (w_pairs, rot) -> the number of pairs that
     rotate, which fills ``rot`` as ``_float_rotations`` does but leaves
     the columns of squared norm at most _FLUSH2 to the Gram test that
-    ends the sweep.
+    ends the sweep.  It writes ``rot`` even when no pair rotates (every
+    entry the identity then); ``_jacobi_rounds`` reads ``rot`` only after
+    a positive count.
 
     The Gram entries come from two ``np.vecdot`` calls and the criterion
     and ``_tangent`` run on arrays, every step into arrays allocated here
@@ -587,8 +589,6 @@ def _array_rotations(h: int):
         np.multiply(JACOBI_OFFDIAG_TOL, bound, out=bound)
         np.greater(np.abs(gamma, out=abs_gamma), bound, out=moves)
         count = int(np.count_nonzero(moves))
-        if not count:
-            return 0
         np.subtract(beta, alpha, out=d)
         np.add(gamma, gamma, out=g2)
         np.copysign(np.hypot(d, g2, out=den), d, out=den)

@@ -160,9 +160,6 @@ def solve_ols(a: Matrix, y: Vector, method: Method = Method.SVD) -> OlsSolution:
     if y.len != a.rows:
         raise DimensionError(
             f"solve_ols: y has length {y.len}, expected {a.rows}")
-    if method is Method.CLOSED_FORM:
-        raise ValueError(
-            "solve_ols: the closed form applies only to simple_regression")
     ea, ey = _binary_exponent(a.array), _binary_exponent(y.array)
     a_s, ys = np.ldexp(a.array, -ea), np.ldexp(y.array, -ey)
     c, rank_deficient, sigma = _scaled_solution(a_s, ea, ys, method)

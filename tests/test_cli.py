@@ -17,7 +17,9 @@ from tlsfit import (
     FormatError,
     Matrix,
     NoTlsSolutionError,
+    PointCloud,
     Vector,
+    fit_hyperplane_tls,
     solve_tls_multi,
     solve_tls_system,
     tls_objective,
@@ -149,6 +151,12 @@ def test_parse_empty_file(tmp_path):
 
 def test_parse_crlf_and_trailing_blank(tmp_path):
     mat = parse_csv(write(tmp_path, "crlf.csv", "1,2\r\n3,4\r\n\r\n"))
+    assert np.array_equal(mat.array, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_parse_skips_whitespace_only_rows(tmp_path):
+    # Blank as the docstring's blank lines are: every cell is whitespace.
+    mat = parse_csv(write(tmp_path, "spaces.csv", "1,2\n  ,  \n3,4\n,\n"))
     assert np.array_equal(mat.array, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -286,6 +294,28 @@ def test_system_modes_report_the_public_solver_record(tmp_path, capsys, mode,
     assert report["objective"] == _sum_of_squares(sigma[n:], "objective")
 
 
+@pytest.mark.parametrize("mode, data, expressible", [
+    ("tls-line", np.random.default_rng(19).standard_normal((8, 2)), True),
+    ("tls-plane", np.random.default_rng(20).standard_normal((12, 3)), True),
+    ("tls-line", [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], False),
+    ("tls-plane", [[2.0, x, y] for x in (0.0, 1.0, 3.0) for y in (1.0, 2.0)],
+     False)], ids=["line", "plane", "vertical-line", "vertical-plane"])
+def test_hyperplane_modes_report_the_public_fit_record(tmp_path, capsys, mode,
+                                                       data, expressible):
+    """tls-line and tls-plane report the fit of ``fit_hyperplane_tls`` bit
+    for bit: its explicit coefficients, or null for a vertical line or
+    plane, whose normal has no last component."""
+    path = write_rows(tmp_path, "cloud.csv", data)
+    assert main([mode, "--input", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    fit = fit_hyperplane_tls(PointCloud(Matrix(data)))
+    assert fit.expressible is report["expressible"] is expressible
+    assert report["coefficients"] == (
+        fit.explicit_coeffs.array.tolist() if expressible else None)
+    assert report["normal"] == fit.normal.array.tolist()
+    assert report["centroid"] == fit.centroid.array.tolist()
+
+
 def test_run_ols_collinear(tmp_path):
     request = FitRequest(mode="ols",
                          input_path=write(tmp_path, "c.csv", "0,0\n1,1\n2,2\n"))
@@ -390,6 +420,12 @@ def test_run_input_errors(tmp_path):
          "tls-multi: rhs-cols must be in [1, 2], got 0"),
         (FitRequest("tls-multi", three, rhs_cols=3), "dimension_error",
          "tls-multi: rhs-cols must be in [1, 2], got 3"),
+        # A negative frozen count would slice the blocks from the end.
+        (FitRequest("tls-fixed", three, frozen_cols=-1), "dimension_error",
+         "tls-fixed: need 0 <= frozen-cols and frozen-cols + rhs-cols < 3, "
+         "got -1 + 1"),
+        (FitRequest("tls-fixed", three, rhs_cols=0), "dimension_error",
+         "solve_tls_fixed: B needs at least one column"),
         (FitRequest("bogus", three), "usage_error", "unknown mode 'bogus'"),
     ]:
         report, code = run(request)
@@ -544,13 +580,16 @@ def test_json_report_is_valid_and_stable(tmp_path):
         render_json(report._replace(objective=1j))
 
 
-def test_text_format_mirrors_json_fields(tmp_path):
+def test_text_format_mirrors_json_fields(tmp_path, capsys):
     request = FitRequest(mode="tls-line",
                          input_path=write(tmp_path, "e1.csv", SQUARE_CSV))
     report, _ = run(request)
     lines = render_text(report).splitlines()
     names = [line.split(":", 1)[0] for line in lines]
     assert names == list(FitReport._fields)
+    argv = ["tls-line", "--input", request.input_path, "--format", "text"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == render_text(report) + "\n"
 
 
 def test_main_writes_report(tmp_path, capsys):
@@ -706,6 +745,16 @@ def test_second_thread_gets_the_normal_exit(tmp_path, capsys):
         prelude="import threading\nthreading.Thread(target=lambda: ("
                 "threading.main_thread().join(), print('after main'))).start()\n")
     assert (how, code, rest) == ("SystemExit", EXIT_OK, "after main\n")
+
+
+def test_traced_process_takes_the_normal_exit(tmp_path, capsys):
+    # A debugger or a coverage tool sets a tracer, and may still have to
+    # write its results after the module returns.
+    path = write(tmp_path, "line.csv", "0,0\n1,1\n2,2.5\n")
+    how, code, _, _, rest = process_entry(
+        capsys, ["tls-line", "--input", path],
+        prelude="import sys\nsys.settrace(lambda frame, event, arg: None)\n")
+    assert (how, code, rest) == ("SystemExit", EXIT_OK, "")
 
 
 def test_profiled_process_takes_the_normal_exit(tmp_path):

@@ -121,6 +121,9 @@ def test_multi_tied_spectrum_flags_non_unique():
 def test_multi_dimension_checks():
     with pytest.raises(DimensionError):
         solve_tls_multi(Matrix(np.eye(3)), Matrix([[1.0], [2.0]]))
+    # Rows enough for the columns, but not A's: typed, not numpy's error.
+    with pytest.raises(DimensionError, match="B has 4 rows, expected 5"):
+        solve_tls_multi(Matrix(np.ones((5, 2))), Matrix(np.ones((4, 1))))
     with pytest.raises(DimensionError):
         solve_tls_multi(Matrix(np.eye(3)), Matrix(np.zeros((3, 1))))
     with pytest.raises(DimensionError):
@@ -284,6 +287,9 @@ def test_fixed_dimension_checks():
     rng = np.random.default_rng(81)
     with pytest.raises(DimensionError):
         solve_tls_fixed(Matrix(np.ones((4, 1))), Matrix(np.ones((5, 1))),
+                        Matrix(np.ones((4, 1))))
+    with pytest.raises(DimensionError, match=r"row counts differ \(5, 4, 4\)"):
+        solve_tls_fixed(Matrix(np.ones((5, 1))), Matrix(np.ones((4, 1))),
                         Matrix(np.ones((4, 1))))
     with pytest.raises(DimensionError):
         solve_tls_fixed(Matrix(np.ones((3, 1))), Matrix(np.ones((3, 2))),

@@ -789,6 +789,51 @@ def test_quiet_wide_sweeps_still_flush(n, rotated):
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_pairs_flush_a_tiny_column_to_zero(n):
+    """Swept pair by pair, a Gaussian 10 x n input with one column scaled
+    by 1e-110 (squared norm below _FLUSH2), in each position, has that
+    column set to zero, so its sigma is exactly 0, as the README says;
+    rotated instead, it would stay near 1e-110."""
+    rng = np.random.default_rng(130 + n)
+    for tiny in range(n):
+        a = rng.standard_normal((10, n))
+        a[:, tiny] *= 1e-110
+        s = _thin_svd(a, with_u=False)[1]
+        assert s[-1] == 0.0 and np.all(s[:-1] > 0.5)
+
+
+@pytest.mark.parametrize("shape", [(20, 4), (30, 7), (60, 30)])
+def test_sweeps_stop_once_every_pair_is_confirmed(shape, monkeypatch):
+    """The sweeps end as soon as every pair is confirmed, not when the
+    budget runs out.  Rounds of fewer than _STEP_MIN_PAIRS pairs (20 x 4,
+    30 x 7 with a bye) stop after the first sweep that rotates nothing:
+    every sweep before it rotated a pair.  Larger rounds (60 x 30) stop at
+    the first Gram test that confirms every pair."""
+    counts, ratios = [], []
+    float_rotations, gram_test = linalg._float_rotations, linalg._gram_test
+
+    def count(gram, w_pairs, rot):
+        counts.append(float_rotations(gram, w_pairs, rot))
+        return counts[-1]
+
+    def tested(w):
+        gram, ratio = gram_test(w)
+        ratios.append(float(ratio.max()))
+        return gram, ratio
+
+    monkeypatch.setattr(linalg, "_float_rotations", count)
+    monkeypatch.setattr(linalg, "_gram_test", tested)
+    n = shape[1]
+    _thin_svd(np.random.default_rng(140 + n).standard_normal(shape), False)
+    if n // 2 < _STEP_MIN_PAIRS:
+        sweeps = np.reshape(counts, (-1, n + n % 2 - 1))
+        assert len(sweeps) > 1 and not sweeps[-1].any()
+        assert all(sweep.any() for sweep in sweeps[:-1])
+    else:
+        assert ratios[-1] <= JACOBI_OFFDIAG_TOL < min(ratios[:-1])
+
+
 def _tied_cloud(seed, m, n):
     """The tied cloud of the lib_wide benchmark (``_cloud`` of
     perfbench/corpus.py with ``tied``: two principal spreads exactly
@@ -1036,21 +1081,24 @@ SWEEP_PATHS = {
     (1000, 10): ("rounds on R^T", 1, None),
     (200, 40): ("rounds on R^T", 1, None), (20, 3): ("pairs on A", 1, None),
     (100, 40): ("rounds on A", 3, _three_coupled_columns),
-    (250, 60): ("rounds on R^T", 13, None)}
+    (250, 60): ("rounds on R^T", 13, None),
+    # Each one short of one cutoff of the R^T path: n, then m n.
+    (834, 6): ("rounds on A", 1, None), (714, 7): ("rounds on A", 1, None)}
 
 
 @pytest.mark.parametrize("shape", list(SWEEP_PATHS))
 def test_exhausted_sweep_budget_raises_convergence_error(shape, monkeypatch):
     """One sweep cannot confirm a Gaussian matrix, on any path: 60 x 30
     and 20 x 4 sweep A in rounds, 1000 x 10 and 200 x 40 sweep R^T in
-    rounds, and 20 x 3 sweeps A pair by pair.  On 100 x 40 with three
-    coupled columns the budget of three runs out in the Gram tests: after
-    the first sweep, one product step with a pass over the pair that the
-    step cannot take, then a second step, and no second sweep.  On
-    250 x 60 one sweep and twelve steps stop one step short of
-    convergence, at a ratio of 8.7e-15: the ratio must print above the
-    tolerance too.  The error names the budget, the path and the largest
-    off-diagonal ratio left, next to the tolerance."""
+    rounds, and 20 x 3 sweeps A pair by pair; 834 x 6 (n below
+    _QR_MIN_COLS) and 714 x 7 (m n below _QR_MIN_SIZE) stay on A.  On
+    100 x 40 with three coupled columns the budget of three runs out in
+    the Gram tests: after the first sweep, one product step with a pass
+    over the pair that the step cannot take, then a second step, and no
+    second sweep.  On 250 x 60 one sweep and twelve steps stop one step
+    short of convergence, at a ratio of 8.7e-15: the ratio must print
+    above the tolerance too.  The error names the budget, the path and
+    the largest off-diagonal ratio left, next to the tolerance."""
     path, budget, make = SWEEP_PATHS[shape]
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", budget)
     rounds = []  # one entry per round evaluated on arrays

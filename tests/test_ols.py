@@ -273,6 +273,15 @@ def test_results_near_the_float_limit(method):
         solve_ols(a, Vector([1.5e308, -1.5e308, 1.5e308]), method)
 
 
+@pytest.mark.parametrize("method", [Method.NORMAL_EQUATIONS, Method.SVD])
+def test_zero_coefficients_stay_in_range_at_any_scale(method):
+    """y orthogonal to A gives c = 0, which 2^(ey - ea) = 2^1100 leaves 0,
+    not beyond the float range."""
+    a = Matrix(np.ldexp([[1.0], [1.0]], -1000))
+    sol = solve_ols(a, Vector(np.ldexp([1.0, -1.0], 100)), method)
+    assert sol.coefficients.array.tolist() == [0.0]
+
+
 def test_cholesky_pivot_report_is_scale_free():
     """The rank-deficiency message gives the failing pivot relative to the
     largest diagonal entry, next to its threshold, at any scale of A."""
